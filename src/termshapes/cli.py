@@ -336,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
     except attain.RhoOutOfRangeError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_RHO
-    except NumericalInconsistencyError as exc:
+    except (NumericalInconsistencyError, attain.NumericalInfeasibilityError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NUMERICAL
     except ValueError as exc:

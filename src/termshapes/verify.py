@@ -10,7 +10,9 @@ bound is exercised on random extremal interpolants.
 
 Sweeps use a vectorised scan: both basis functions depend only on
 u = decay * x, so rescaling x by the row's window maps every instance
-onto one shared grid.  Each row yields the first sign and the strong
+onto one shared grid.  A fixed model (Monte Carlo draws, state maps)
+passes one shared decay row, so its basis samples are made once per
+slot, not once per row.  Each row yields the first sign and the strong
 change count of its reduced sign sequence, which determine the pure
 sequence, hence the shape.  Any apparent violation is re-checked with
 the careful scalar classifier before it is reported.
@@ -50,7 +52,8 @@ RhoClassOption = Literal["nonnegative", "negative", "any"]
 #: re-validated with the careful float64 classifier, so the fast path
 #: only needs sign-level fidelity.
 BATCH_SAMPLES = 512
-_CHUNK = 8192
+#: Rows per float32 pass: a (rows, 512) array is 512 KB at 256 rows.
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -170,8 +173,14 @@ def instance_model(inst: dict, i: int) -> tuple[VasicekModel, tuple[float, float
     return model, (float(inst["z1"][i]), float(inst["z2"][i]))
 
 
-def _coefficient_columns(inst: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-instance (u1, u2, c, w1, w2) from the parameter arrays."""
+def _slot_arrays(inst: dict, reg: ScaleRegime) -> tuple[np.ndarray, np.ndarray]:
+    """Decay and coefficient columns in increasing-decay order.
+
+    Model parameters may be arrays (one model per row) or scalars (one
+    model shared by every row, which gives decays of shape (k,)).
+    Critical instances carry the merged w2 + u1 slot, keeping the column
+    layout regime-static so terminal signs vectorise.
+    """
     l1, l2 = inst["lam1"], inst["lam2"]
     k1, k2 = inst["kappa1"], inst["kappa2"]
     s1, s2 = inst["sigma1"], inst["sigma2"]
@@ -181,28 +190,13 @@ def _coefficient_columns(inst: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray
     c = (l1 + l2) * mixed
     w1 = k1 * l1 * (inst["theta1"] - inst["z1"]) - u1 - l1 * mixed
     w2 = k2 * l2 * (inst["theta2"] - inst["z2"]) - u2 - l2 * mixed
-    return np.stack([u1, u2, c], axis=1), w1, w2
-
-
-def _slot_arrays(inst: dict, reg: ScaleRegime) -> tuple[np.ndarray, np.ndarray]:
-    """Decay and coefficient columns in increasing-decay order.
-
-    Critical instances carry the merged w2 + u1 slot, keeping the column
-    layout regime-static so terminal signs vectorise.
-    """
-    u, w1, w2 = _coefficient_columns(inst)
-    u1, u2, c = u[:, 0], u[:, 1], u[:, 2]
-    l1, l2 = inst["lam1"], inst["lam2"]
     if reg is ScaleRegime.SEPARATED:
-        decays = np.stack([l1, 2 * l1, l2, l1 + l2, 2 * l2], axis=1)
-        coeffs = np.stack([w1, u1, w2, c, u2], axis=1)
+        decays, coeffs = [l1, 2 * l1, l2, l1 + l2, 2 * l2], [w1, u1, w2, c, u2]
     elif reg is ScaleRegime.PROXIMAL:
-        decays = np.stack([l1, l2, 2 * l1, l1 + l2, 2 * l2], axis=1)
-        coeffs = np.stack([w1, w2, u1, c, u2], axis=1)
+        decays, coeffs = [l1, l2, 2 * l1, l1 + l2, 2 * l2], [w1, w2, u1, c, u2]
     else:
-        decays = np.stack([l1, l2, l1 + l2, 2 * l2], axis=1)
-        coeffs = np.stack([w1, w2 + u1, c, u2], axis=1)
-    return decays, coeffs
+        decays, coeffs = [l1, l2, l1 + l2, 2 * l2], [w1, w2 + u1, c, u2]
+    return np.stack(decays, axis=-1), np.stack(np.broadcast_arrays(*coeffs), axis=-1)
 
 
 def _terminal_signs(decays: np.ndarray, coeffs: np.ndarray, kind: str) -> np.ndarray:
@@ -237,22 +231,41 @@ def _first_changes_of_values(
     float32-safe fraction of it count as zero, so structure beyond that
     depth is dropped rather than read from rounding noise (the careful
     float64 classifier re-checks anything that looks like a violation).
+    A row without zero samples changes wherever adjacent signs differ;
+    only rows with zeros need a run count over their nonzero samples.
     """
-    m = vals.shape[1]
     eps = np.float32(1e-6) * mag
-    signs = ((vals > eps).astype(np.int8) - (vals < -eps).astype(np.int8))
+    pos = vals > eps
+    nonzero = pos | (vals < -eps)
+    changes = (pos[:, 1:] != pos[:, :-1]).sum(axis=1, dtype=np.int32)
+    first = 2 * pos[:, 0].astype(np.int8) - 1
+    last = 2 * pos[:, -1].astype(np.int8) - 1
+    gappy = np.flatnonzero(~nonzero.all(axis=1))
+    if gappy.size:
+        row, col = np.nonzero(nonzero[gappy])  # row-major: each row's samples in order
+        sign = pos[gappy][row, col]
+        switch = (row[1:] == row[:-1]) & (sign[1:] != sign[:-1])
+        changes[gappy] = np.bincount(row[1:][switch], minlength=gappy.size)
+        ends = np.flatnonzero(np.diff(row, prepend=-1, append=gappy.size))
+        first[gappy], last[gappy] = 0, 0
+        first[gappy[row[ends[:-1]]]] = 2 * sign[ends[:-1]].astype(np.int8) - 1
+        last[gappy[row[ends[1:] - 1]]] = 2 * sign[ends[1:] - 1].astype(np.int8) - 1
+    return first, changes, last
 
-    # Forward-fill nonzero signs, then count value switches.
-    col_idx = np.where(signs != 0, np.arange(m, dtype=np.int32)[None, :], -1)
-    filled_idx = np.maximum.accumulate(col_idx, axis=1)
-    fill = np.take_along_axis(signs, np.maximum(filled_idx, 0).astype(np.intp), axis=1)
-    fill[filled_idx < 0] = 0
-    switch = (fill[:, 1:] != fill[:, :-1]) & (fill[:, :-1] != 0)
-    changes = switch.sum(axis=1, dtype=np.int32)
 
-    first_idx = np.argmax(signs != 0, axis=1)
-    first = np.take_along_axis(signs, first_idx[:, None].astype(np.intp), axis=1)[:, 0]
-    return first, changes, fill[:, -1]
+def _basis_samples(d: np.ndarray, t: np.ndarray, curves: tuple[str, ...]) -> dict:
+    """exp(-u) and G(u) at u = d * t, for d a scalar or one value per row."""
+    u = d[..., None] * t
+    e = np.exp(-u)
+    out = {"forward": e}
+    if "yield" in curves:
+        g = (1.0 - e * (1.0 + u)) / (u * u)
+        # u grows along t, so the series region u < 0.25 is a column prefix.
+        lead = int(np.count_nonzero(np.min(d) * t < 0.25))
+        head = u[..., :lead]
+        g[..., :lead] = np.where(head < 0.25, _g_series32(head), g[..., :lead])
+        out["yield"] = g
+    return out
 
 
 def _scan_curves(
@@ -265,55 +278,44 @@ def _scan_curves(
 
     Both basis functions depend only on u = decay * x, so u is scanned on
     the row-normalised window x <= 20 / min decay and the single exp per
-    slot feeds both curves.  Chunked float32 arithmetic keeps the pass
-    bandwidth-friendly; the x = 0 column is exact (coefficient sum,
-    halved for the yield kind).  Tails close with the analytic terminal
-    signs.
+    slot feeds both curves.  ``decays`` is (n, k), or one shared row of
+    shape (k,) for a fixed model, whose exp and G samples are then made
+    once per slot instead of once per row.  G's series branch (u < 0.25)
+    only reaches the first few columns, since u >= 20 t.  Rows go through
+    in float32 chunks of ``_CHUNK``, small enough that the few live
+    (chunk, m) arrays stay near cache size.  The x = 0 column is exact
+    (coefficient sum, halved for the yield kind).  Tails close with the
+    analytic terminal signs.
     """
     n, k = coeffs.shape
-    x_scale = 20.0 / decays[:, 0]  # column 0 is the slowest decay
+    d = (decays * (20.0 / decays[..., :1])).astype(np.float32)  # slot 0 is slowest
     t = np.linspace(0.0, 1.0, m)[1:].astype(np.float32)
+    shared = [_basis_samples(d[j], t, curves) for j in range(k)] if d.ndim == 1 else None
     coef_sum = np.sum(coeffs, axis=1).astype(np.float32)
+    abs_sum = np.sum(np.abs(coeffs), axis=1).astype(np.float32)
     out = {
         c: (np.zeros(n, dtype=np.int8), np.zeros(n, dtype=np.int32), np.zeros(n, dtype=np.int8))
         for c in curves
     }
 
-    abs_sum = np.sum(np.abs(coeffs), axis=1).astype(np.float32)
     for start in range(0, n, _CHUNK):
         sl = slice(start, min(start + _CHUNK, n))
-        d = (decays[sl] * x_scale[sl, None]).astype(np.float32)
         a = coeffs[sl].astype(np.float32)
         a_abs = np.abs(a)
-        rows = a.shape[0]
-        vf = mf = vg = mg = None
-        if "forward" in curves:
-            vf = np.zeros((rows, m - 1), dtype=np.float32)
-            mf = np.zeros((rows, m - 1), dtype=np.float32)
-        if "yield" in curves:
-            vg = np.zeros((rows, m - 1), dtype=np.float32)
-            mg = np.zeros((rows, m - 1), dtype=np.float32)
-        for j in range(k):
-            u = d[:, j, None] * t[None, :]
-            e = np.exp(-u)
-            if vf is not None:
-                vf += a[:, j, None] * e
-                mf += a_abs[:, j, None] * e
-            if vg is not None:
-                closed = (1.0 - e * (1.0 + u)) / (u * u)
-                g = np.where(u < 0.25, _g_series32(u), closed)
-                vg += a[:, j, None] * g
-                mg += a_abs[:, j, None] * g
-        for curve, v, vm in (("forward", vf, mf), ("yield", vg, mg)):
-            if v is None:
-                continue
+        sums = {}
+        for curve in curves:
             half = 1.0 if curve == "forward" else 0.5
-            vals = np.concatenate([half * coef_sum[sl][:, None], v], axis=1)
-            mags = np.concatenate([half * abs_sum[sl][:, None], vm], axis=1)
-            first, changes, last = _first_changes_of_values(vals, mags)
-            out[curve][0][sl] = first
-            out[curve][1][sl] = changes
-            out[curve][2][sl] = last
+            v, vm = np.zeros((2, a.shape[0], m), dtype=np.float32)
+            v[:, 0], vm[:, 0] = half * coef_sum[sl], half * abs_sum[sl]
+            sums[curve] = v, vm
+        for j in range(k):
+            basis = shared[j] if shared else _basis_samples(d[sl, j], t, curves)
+            for curve, (v, vm) in sums.items():
+                v[:, 1:] += a[:, j, None] * basis[curve]
+                vm[:, 1:] += a_abs[:, j, None] * basis[curve]
+        for curve, (v, vm) in sums.items():
+            for arr, res in zip(out[curve], _first_changes_of_values(v, vm)):
+                arr[sl] = res
 
     results: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for curve in curves:
@@ -472,41 +474,25 @@ def strict_attainability_mc(
     return float(np.mean(codes == shape_code(shape)))
 
 
+def _fixed_model_slots(model: VasicekModel, states) -> tuple[np.ndarray, np.ndarray]:
+    """One shared decay row (k,) and per-state coefficients (n, k)."""
+    states = np.atleast_2d(np.asarray(states, dtype=float))
+    if model.d == 1:
+        (lam,), (kappa,), (sigma,), (theta,) = model.lam, model.kappa, model.sigma, model.theta
+        u1 = (sigma * sigma) * (kappa * kappa) / lam
+        w1 = kappa * lam * (theta - states[:, 0]) - u1
+        return np.array([lam, 2 * lam]), np.stack(np.broadcast_arrays(w1, u1), axis=-1)
+    names = ("lam", "kappa", "sigma", "theta")
+    inst = {f"{name}{i + 1}": getattr(model, name)[i] for name in names for i in range(2)}
+    inst.update(rho=model.rho, z1=states[:, 0], z2=states[:, 1])
+    return _slot_arrays(inst, regime(model))
+
+
 def _fixed_model_codes(
     model: VasicekModel, states: np.ndarray, curve: Literal["forward", "yield"]
 ) -> np.ndarray:
     """Batch shape codes across states of one fixed model."""
-    states = np.atleast_2d(np.asarray(states, dtype=float))
-    n = states.shape[0]
-    if model.d == 1:
-        inst = {
-            "lam1": np.full(n, model.lam[0]),
-            "kappa1": np.full(n, model.kappa[0]),
-            "sigma1": np.full(n, model.sigma[0]),
-            "theta1": np.full(n, model.theta[0]),
-            "z1": states[:, 0],
-        }
-        u1 = inst["sigma1"] ** 2 * inst["kappa1"] ** 2 / inst["lam1"]
-        w1 = inst["kappa1"] * inst["lam1"] * (inst["theta1"] - inst["z1"]) - u1
-        decays = np.stack([inst["lam1"], 2 * inst["lam1"]], axis=1)
-        coeffs = np.stack([w1, u1], axis=1)
-        reg = None
-    else:
-        inst = {
-            "lam1": np.full(n, model.lam[0]),
-            "lam2": np.full(n, model.lam[1]),
-            "kappa1": np.full(n, model.kappa[0]),
-            "kappa2": np.full(n, model.kappa[1]),
-            "sigma1": np.full(n, model.sigma[0]),
-            "sigma2": np.full(n, model.sigma[1]),
-            "rho": np.full(n, model.rho),
-            "theta1": np.full(n, model.theta[0]),
-            "theta2": np.full(n, model.theta[1]),
-            "z1": states[:, 0],
-            "z2": states[:, 1],
-        }
-        reg = regime(model)
-        decays, coeffs = _slot_arrays(inst, reg)
+    decays, coeffs = _fixed_model_slots(model, states)
     first, changes = _scan_curves(decays, coeffs, curves=(curve,))[curve]
     return _shape_codes(first, changes)
 
@@ -536,11 +522,11 @@ def state_space_map(
 
     fwd = _fixed_model_codes(model, states, "forward")
     yld = _fixed_model_codes(model, states, "yield")
-    rows = []
-    for i in range(states.shape[0]):
-        shapes = (str(decode_shape(int(fwd[i]))), str(decode_shape(int(yld[i]))))
-        rows.append((*states[i].tolist(), *shapes))
-    return rows
+    label = {int(c): str(decode_shape(int(c))) for c in np.union1d(fwd, yld)}
+    return [
+        (*z, label[f], label[y])
+        for z, f, y in zip(states.tolist(), fwd.tolist(), yld.tolist())
+    ]
 
 
 @dataclass

@@ -140,6 +140,14 @@ class TestAttainCommand:
         monkeypatch.setattr(cli.attain, "construct_target", boom)
         assert cli.main(["attain", "--model", separated_file, "--shape", "HD"]) == 3
 
+    def test_unverifiable_extrema_exit_3(self, separated_file, capsys):
+        # Extrema 1e-7 apart are too close for the verification grid.
+        argv = ["attain", "--model", separated_file, "--shape", "HD",
+                "--extrema", "1,1.0000001"]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestSweepCommand:
     def test_clean_sweep_exit_zero(self, tmp_path, capsys):

@@ -117,6 +117,117 @@ class TestBatchAgainstCareful:
         assert exact / checked > 0.98
 
 
+def _forward_fill_first_changes(vals, mag):
+    """Forward-fill change counter the run-based one replaced; an oracle."""
+    m = vals.shape[1]
+    eps = np.float32(1e-6) * mag
+    signs = (vals > eps).astype(np.int8) - (vals < -eps).astype(np.int8)
+    col_idx = np.where(signs != 0, np.arange(m, dtype=np.int32)[None, :], -1)
+    filled_idx = np.maximum.accumulate(col_idx, axis=1)
+    fill = np.take_along_axis(signs, np.maximum(filled_idx, 0).astype(np.intp), axis=1)
+    fill[filled_idx < 0] = 0
+    switch = (fill[:, 1:] != fill[:, :-1]) & (fill[:, :-1] != 0)
+    first_idx = np.argmax(signs != 0, axis=1)
+    first = np.take_along_axis(signs, first_idx[:, None].astype(np.intp), axis=1)[:, 0]
+    return first, switch.sum(axis=1, dtype=np.int32), fill[:, -1]
+
+
+def _slot_rows(model, n, seed):
+    states = np.random.default_rng(seed).uniform(-0.3, 0.3, (n, model.d))
+    return vf._fixed_model_slots(model, states)
+
+
+SHARED_MODELS = {
+    "one-factor": VasicekModel(
+        lam=(1.0,), theta=(0.02,), kappa=(1.0,), kappa0=0.01, sigma=(0.5,)
+    ),
+    "separated": VasicekModel(
+        lam=(1.0, 3.0), theta=(0.01, 0.02), kappa=(1.0, 0.8),
+        kappa0=0.005, sigma=(0.3, 0.5), rho=-0.2,
+    ),
+    "proximal": VasicekModel(
+        lam=(1.0, 1.5), theta=(0.01, 0.02), kappa=(1.0, 0.8),
+        kappa0=0.005, sigma=(0.3, 0.5), rho=0.4,
+    ),
+    "critical": VasicekModel(
+        lam=(0.7, 1.4), theta=(0.01, 0.02), kappa=(1.0, 0.9),
+        kappa0=0.0, sigma=(0.3, 0.5), rho=0.1,
+    ),
+    # Ratio lambda2 / (2 lambda1) within 1e-6 of 1 on either side.
+    "near-separated": VasicekModel(
+        lam=(0.7, 1.4 * (1 + 5e-7)), theta=(0.01, -0.02), kappa=(1.0, 0.9),
+        kappa0=0.0, sigma=(0.8, 0.5), rho=-0.7,
+    ),
+    "near-proximal": VasicekModel(
+        lam=(0.7, 1.4 * (1 - 5e-7)), theta=(0.01, -0.02), kappa=(1.0, 0.9),
+        kappa0=0.0, sigma=(0.8, 0.5), rho=-0.7,
+    ),
+}
+
+
+class TestScanInternals:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_run_count_matches_forward_fill(self, seed):
+        rng = np.random.default_rng(seed)
+        rows, m = 600, 96
+        x = np.linspace(0.0, 1.0, m)
+        freq = rng.uniform(0.0, 12.0, (rows, 1))
+        phase = rng.uniform(0.0, 2 * np.pi, (rows, 1))
+        vals = np.sin(freq * x + phase) + 0.3 * rng.standard_normal((rows, m))
+        mag = np.abs(vals) + rng.uniform(0.0, 2.0, (rows, m))
+        # Sub-threshold samples at the start, the end, in the middle and
+        # across whole rows; some exactly zero, some with zero magnitude.
+        tiny = 1e-8 * mag * rng.choice([-1.0, 1.0], (rows, m))
+        cut = rng.integers(1, m // 3, rows)
+        cols = np.arange(m)[None, :]
+        groups = rng.integers(0, 6, rows)[:, None]
+        floor = (
+            ((groups == 1) & (cols < cut[:, None]))
+            | ((groups == 2) & (cols >= m - cut[:, None]))
+            | ((groups == 3) & (np.abs(cols - m // 2) < cut[:, None]))
+            | (groups == 4)
+            | ((groups == 5) & (rng.random((rows, m)) < 0.3))
+        )
+        vals = np.where(floor, tiny, vals)
+        vals[::7, 0] = 0.0
+        mag[::11, -1] = vals[::11, -1] = 0.0
+        vals, mag = vals.astype(np.float32), mag.astype(np.float32)
+        got = vf._first_changes_of_values(vals, mag)
+        want = _forward_fill_first_changes(vals, mag)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("name", sorted(SHARED_MODELS))
+    @pytest.mark.parametrize("n", [0, 1, vf._CHUNK - 1, vf._CHUNK, vf._CHUNK + 1])
+    def test_shared_decay_row_matches_per_row_decays(self, name, n):
+        decays, coeffs = _slot_rows(SHARED_MODELS[name], n, seed=n)
+        assert decays.ndim == 1 and coeffs.shape == (n, decays.size)
+        shared = vf._scan_curves(decays, coeffs)
+        per_row = vf._scan_curves(np.tile(decays, (n, 1)), coeffs)
+        for curve in ("forward", "yield"):
+            for a, b in zip(shared[curve], per_row[curve]):
+                np.testing.assert_array_equal(a, b)
+
+    def test_leading_series_columns_match_full_width(self):
+        # Near-critical instances put slots within 1e-6 of each other;
+        # small scaled decays push the series region far into the grid.
+        cfg = SweepConfig(ScaleRegime.SEPARATED, "any", n_samples=300, seed=3)
+        inst = vf.sample_instances(cfg, np.random.default_rng(3), 300)
+        inst["lam2"] = 2 * inst["lam1"] * (1 + np.linspace(-1e-6, 1e-6, 300))
+        decays, _ = vf._slot_arrays(inst, ScaleRegime.SEPARATED)
+        scaled = (decays * (20.0 / decays[:, :1])).astype(np.float32)
+        t = np.linspace(0.0, 1.0, vf.BATCH_SAMPLES)[1:].astype(np.float32)
+        small = np.float32([0.05, 0.5, 1.0, 7.0])
+        for d in (*scaled.T, small, np.float32(0.5), np.float32(20.0)):
+            u = d[..., None] * t
+            e = np.exp(-u)
+            closed = (1.0 - e * (1.0 + u)) / (u * u)
+            want = np.where(u < 0.25, vf._g_series32(u), closed)
+            got = vf._basis_samples(d, t, ("yield",))
+            np.testing.assert_array_equal(got["yield"], want)
+            np.testing.assert_array_equal(got["forward"], e)
+
+
 class TestStrictAttainability:
     def test_constructed_shape_attained_with_positive_frequency(self, separated_base):
         sol, _ = construct_target("HDH", separated_base)
