@@ -60,13 +60,15 @@ from .descartes import (
     F_KIND,
     G_KIND,
     GridSpec,
+    _stretch_probes,
     basis_values,
     coef_inequality_value,
     eval_dpoly,
     interpolate_prescribed_zeros,
 )
 from .signseq import ShapeName, shape_from_label
-from .vasicek import ScaleRegime, VasicekModel, coefficient_parts, regime, with_covariance
+from .vasicek import (ScaleRegime, VasicekModel, coefficient_parts, regime, slot_decays,
+                      slot_layout, with_covariance)
 
 Curve = Literal["forward", "yield"]
 
@@ -119,14 +121,13 @@ class TargetCoefficients:
         }
 
     @property
+    def parts(self) -> tuple[tuple[float, float], float, tuple[float, float]]:
+        """The targets as (u, c, w), the ``vasicek.coefficient_core`` form."""
+        return (self.a_2l1, self.a_2l2), self.a_cross, (self.a_l1, self.a_l2)
+
+    @property
     def scale(self) -> float:
-        return max(
-            abs(self.a_2l2),
-            abs(self.a_cross),
-            abs(self.a_l2),
-            abs(self.a_2l1),
-            abs(self.a_l1),
-        )
+        return max(abs(a) for a in self.as_dict().values())
 
 
 @dataclass(frozen=True)
@@ -184,23 +185,6 @@ class AttainSolution:
         return out
 
 
-def _full_polynomial(
-    tc: TargetCoefficients, base: VasicekModel, kind: str
-) -> DPolynomial:
-    """Target coefficients laid out over the full regime basis."""
-    l1, l2 = base.lam
-    if 2 * l1 < l2:
-        decays = (2 * l2, l1 + l2, l2, 2 * l1, l1)
-        coeffs = (tc.a_2l2, tc.a_cross, tc.a_l2, tc.a_2l1, tc.a_l1)
-    elif 2 * l1 > l2:
-        decays = (2 * l2, l1 + l2, 2 * l1, l2, l1)
-        coeffs = (tc.a_2l2, tc.a_cross, tc.a_2l1, tc.a_l2, tc.a_l1)
-    else:
-        decays = (2 * l2, l1 + l2, l2, l1)
-        coeffs = (tc.a_2l2, tc.a_cross, tc.a_l2 + tc.a_2l1, tc.a_l1)
-    return DPolynomial(ExpBasis(kind, decays), coeffs)
-
-
 def solve_key_system(
     tc: TargetCoefficients, base: VasicekModel
 ) -> AttainSolution | None:
@@ -238,13 +222,14 @@ def solve_key_system(
     z1 = base.theta[0] - (tc.a_l1 + tc.a_2l1 + l1 * mixed) / (k1 * l1)
     z2 = base.theta[1] - (tc.a_l2 + tc.a_2l2 + l2 * mixed) / (k2 * l2)
     model = with_covariance(base, sigma1, sigma2, rho)
+    decays, coeffs = slot_layout(base.lam, tc.parts)
     return AttainSolution(
         sigma1=sigma1,
         sigma2=sigma2,
         rho=rho,
         z1=z1,
         z2=z2,
-        dpoly=_full_polynomial(tc, base, F_KIND),
+        dpoly=DPolynomial(ExpBasis(F_KIND, decays), coeffs),
         proof_case="",
         coefficients=tc,
         model=model,
@@ -312,18 +297,6 @@ def _route_for(shape: ShapeName, reg: ScaleRegime) -> _Route:
     raise AssertionError(f"unhandled shape {shape}")
 
 
-def _tag_decay(tag: str, l1: float, l2: float) -> float:
-    return {
-        "2l2": 2 * l2,
-        "cross": l1 + l2,
-        "l2": l2,
-        "2l1": 2 * l1,
-        "l1": l1,
-        "l1eps": l1,  # sign-only stabiliser slot
-        "merged": l2,  # scale-critical: lam2 == 2*lam1
-    }[tag]
-
-
 def _pad(
     tags: Sequence[str], coeffs: Sequence[float], l1: float, l2: float
 ) -> TargetCoefficients:
@@ -369,11 +342,7 @@ def _slowest_slot_epsilon(
     fit between the two scales means the zeros are too collapsed to
     realise the shape stably.
     """
-    positive = [z for z in zeros if z > 0]
-    gap = positive[-1] - positive[-2] if len(positive) > 1 else positive[-1]
-    probes = [0.5 * positive[0] if zeros[0] == 0.0 else 0.0]
-    probes += [0.5 * (a + b) for a, b in zip(positive, positive[1:])]
-    probes.append(positive[-1] + max(gap, 1.0 / lam1))
+    probes = _stretch_probes(zeros, lam1)
     values = [abs(eval_dpoly(poly, r)) for r in probes]
     denom = 1.0 + float(
         np.sum(np.max(np.abs(basis_values(poly.basis, probes)), axis=1))
@@ -432,7 +401,8 @@ def construct(target: ShapeTarget, base: VasicekModel) -> AttainSolution:
 
     l1, l2 = base.lam
     kind = F_KIND if target.curve == "forward" else G_KIND
-    basis = ExpBasis(kind, tuple(_tag_decay(t, l1, l2) for t in route.tags))
+    decay = slot_decays(l1, l2)
+    basis = ExpBasis(kind, tuple(decay[t] for t in route.tags))
     n = len(basis)
 
     if n == 1:
@@ -549,21 +519,11 @@ def _verification_grid(sol: AttainSolution, base_grid: GridSpec | None) -> GridS
 
 def residuals(sol: AttainSolution) -> float:
     """Largest relative mismatch when the solution is substituted back
-    into the coefficient-matching system."""
-    u, c, w = coefficient_parts(sol.model, sol.state)
-    tc = sol.coefficients
-    scale = max(1.0, tc.scale)
-    diffs = [
-        u[1] - tc.a_2l2,
-        c - tc.a_cross,
-        u[0] - tc.a_2l1,
-        w[0] - tc.a_l1,
-        w[1] - tc.a_l2,
-    ]
-    if regime(sol.model) is ScaleRegime.CRITICAL:
-        diffs[2] = 0.0
-        diffs[4] = (w[1] + u[0]) - (tc.a_l2 + tc.a_2l1)
-    return max(abs(d) for d in diffs) / scale
+    into the coefficient-matching system, slot by slot of the layout."""
+    lam = sol.model.lam
+    _, got = slot_layout(lam, coefficient_parts(sol.model, sol.state))
+    _, want = slot_layout(lam, sol.coefficients.parts)
+    return max(abs(g - t) for g, t in zip(got, want)) / max(1.0, sol.coefficients.scale)
 
 
 def verify_solution(

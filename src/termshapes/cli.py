@@ -76,7 +76,7 @@ def _resolve_state(model: VasicekModel, z_arg: str | None, embedded) -> tuple:
         except ValueError:
             raise _CliError(f"cannot parse state vector {z_arg!r}") from None
     elif embedded is not None:
-        values = list(embedded)
+        values = embedded
     else:
         raise _CliError("no state vector: pass --z or embed \"z\" in the model file")
     try:

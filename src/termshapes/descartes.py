@@ -792,15 +792,21 @@ def perturbation_delta(p: DPolynomial, grid: GridSpec | None = None) -> float:
     return _stability_radius(p, zeros)
 
 
-def _stability_radius(p: DPolynomial, zeros: Sequence[float]) -> float:
-    """``perturbation_delta`` from zeros already located by ``sseq_of_dpoly``."""
-    # One probe per sign stretch: the left endpoint, midpoints between
-    # consecutive zeros, and a point past the last zero.
-    probes = [0.0]
+def _stretch_probes(zeros: Sequence[float], tail_decay: float) -> list[float]:
+    """One probe per sign stretch: x = 0 (unless 0 is a zero), the midpoints
+    between sorted zeros, and a point past the last by max(last gap,
+    1 / tail_decay)."""
+    probes = [] if zeros and zeros[0] == 0.0 else [0.0]
     probes.extend(0.5 * (z1 + z2) for z1, z2 in zip(zeros, zeros[1:]))
     if zeros:
         gap = zeros[-1] - zeros[-2] if len(zeros) > 1 else zeros[-1]
-        probes.append(zeros[-1] + max(gap, 1.0 / p.basis.min_positive_decay))
+        probes.append(zeros[-1] + max(gap, 1.0 / tail_decay))
+    return probes
+
+
+def _stability_radius(p: DPolynomial, zeros: Sequence[float]) -> float:
+    """``perturbation_delta`` from zeros already located by ``sseq_of_dpoly``."""
+    probes = _stretch_probes(zeros, p.basis.min_positive_decay)
     values = [eval_dpoly(p, r) for r in probes]
     if any(v == 0.0 for v in values):
         raise ValueError("probe point landed on a zero; polynomial not extremal?")

@@ -38,6 +38,10 @@ and the Descartes ordering of the decays depends on the scale regime:
 separated (2 lam_1 < lam_2), proximal (2 lam_1 > lam_2) or critical
 (equal, where the 2 lam_1 and lam_2 slots merge into w_2 + u_1).
 
+``coefficient_core`` holds these formulas, for floats and arrays alike,
+and ``slot_layout`` is the one function that orders the slots, for the
+curves here, the batch scans in ``verify`` and ``attain``'s construction.
+
 Units: time in years, rates as decimals.
 """
 
@@ -46,6 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from operator import itemgetter
 from typing import Mapping
 
 import numpy as np
@@ -82,12 +87,20 @@ class VasicekModel:
     rho: float = 0.0
 
     def __post_init__(self):
-        for name in ("lam", "theta", "kappa", "sigma"):
-            object.__setattr__(
-                self, name, tuple(float(v) for v in getattr(self, name))
-            )
-        object.__setattr__(self, "kappa0", float(self.kappa0))
-        object.__setattr__(self, "rho", float(self.rho))
+        for name in ("lam", "theta", "kappa", "sigma", "kappa0", "rho"):
+            value, scalar = getattr(self, name), name in ("kappa0", "rho")
+            try:
+                if isinstance(value, str):
+                    raise TypeError
+                value = float(value) if scalar else tuple(float(v) for v in value)
+            except (TypeError, ValueError):
+                kind = "a number" if scalar else "a list of numbers"
+                label = "lambda" if name == "lam" else name
+                raise ValueError(f"{label} must be {kind}, got {value!r}") from None
+            object.__setattr__(self, name, value)
+        params = (*self.lam, *self.theta, *self.kappa, *self.sigma, self.kappa0, self.rho)
+        if not all(math.isfinite(v) for v in params):
+            raise ValueError("model parameters must be finite")
         d = len(self.lam)
         if d not in (1, 2):
             raise ValueError("model must have 1 or 2 factors")
@@ -97,6 +110,8 @@ class VasicekModel:
             raise ValueError("mean-reversion speeds must be strictly positive")
         if d == 2 and not self.lam[0] < self.lam[1]:
             raise ValueError("mean-reversion speeds must be strictly increasing")
+        if not math.isfinite(2.0 * self.lam[-1]):  # also bounds lam_1 + lam_2
+            raise ValueError("mean-reversion speeds overflow: 2*lambda must be finite")
         if any(k <= 0 for k in self.kappa):
             raise ValueError("loadings kappa must be strictly positive")
         if any(s < 0 for s in self.sigma):
@@ -128,18 +143,17 @@ class VasicekModel:
         for d = 1).  An optional key z (default state) is ignored here.
         """
         try:
-            lam = tuple(data["lambda"])
             model = cls(
-                lam=lam,
-                theta=tuple(data["theta"]),
-                kappa=tuple(data["kappa"]),
+                lam=data["lambda"],
+                theta=data["theta"],
+                kappa=data["kappa"],
                 kappa0=data["kappa0"],
-                sigma=tuple(data["sigma"]),
+                sigma=data["sigma"],
                 rho=data.get("rho", 0.0) or 0.0,
             )
         except KeyError as exc:
             raise ValueError(f"model document missing key {exc.args[0]!r}") from None
-        if "d" in data and int(data["d"]) != model.d:
+        if "d" in data and data["d"] != model.d:
             raise ValueError("declared d does not match the lambda length")
         return model
 
@@ -161,7 +175,10 @@ def as_state(z, d: int) -> State:
     """Normalise a state vector and check its length and finiteness."""
     if np.ndim(z) == 0:
         z = (z,)
-    state = tuple(float(v) for v in z)
+    try:
+        state = tuple(float(v) for v in z)
+    except (TypeError, ValueError):
+        raise ValueError(f"state entries must be numbers, got {z!r}") from None
     if len(state) != d:
         raise ValueError(f"state vector must have {d} entries, got {len(state)}")
     if any(not math.isfinite(v) for v in state):
@@ -212,37 +229,64 @@ def short_rate(model: VasicekModel, z) -> float:
     return model.kappa0 + float(np.dot(model.kappa, state))
 
 
+def coefficient_core(lam, theta, kappa, sigma, rho, z):
+    """(u per factor, c, w per factor) from per-factor parameter sequences.
+
+    Plain arithmetic, so entries may be floats or equal-shape arrays."""
+    u = tuple(s * s * k * k / l for s, k, l in zip(sigma, kappa, lam))
+    if len(lam) == 1:
+        mixed = c = 0.0
+    else:
+        mixed = rho * sigma[0] * sigma[1] * kappa[0] * kappa[1] / (lam[0] * lam[1])
+        c = (lam[0] + lam[1]) * mixed
+    w = tuple(
+        k * l * (t - zv) - uv - l * mixed
+        for k, l, t, zv, uv in zip(kappa, lam, theta, z, u)
+    )
+    return u, c, w
+
+
 def coefficient_parts(
     model: VasicekModel, z
 ) -> tuple[tuple[float, ...], float, tuple[float, ...]]:
     """Exponential-polynomial coefficients (u per factor, c, w per factor)."""
     state = as_state(z, model.d)
-    lam, kap, sig = model.lam, model.kappa, model.sigma
-    u = tuple(s * s * k * k / l for s, k, l in zip(sig, kap, lam))
-    if model.d == 1:
-        w = (kap[0] * lam[0] * (model.theta[0] - state[0]) - u[0],)
-        return u, 0.0, w
-    mixed = model.rho * sig[0] * sig[1] * kap[0] * kap[1] / (lam[0] * lam[1])
-    c = (lam[0] + lam[1]) * mixed
-    w = tuple(
-        k * l * (t - zv) - uv - l * mixed
-        for k, l, t, zv, uv in zip(kap, lam, model.theta, state, u)
-    )
-    return u, c, w
+    return coefficient_core(model.lam, model.theta, model.kappa, model.sigma, model.rho, state)
 
 
-def _decay_layout(model: VasicekModel, z) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Decays (strictly decreasing) and matching coefficients for l and m."""
-    u, c, w = coefficient_parts(model, z)
-    lam = model.lam
-    if model.d == 1:
+#: Slot tags in Descartes order (fastest decay first) for each ordering of
+#: 2 lam_1 against lam_2; at criticality the lam_2 and 2 lam_1 slots merge.
+SLOT_TAGS = {
+    ScaleRegime.SEPARATED: ("2l2", "cross", "l2", "2l1", "l1"),
+    ScaleRegime.PROXIMAL: ("2l2", "cross", "2l1", "l2", "l1"),
+    ScaleRegime.CRITICAL: ("2l2", "cross", "merged", "l1"),
+}
+
+
+def slot_decays(l1, l2) -> dict:
+    """Decay of every slot tag of a two-factor model."""
+    return {"2l2": 2 * l2, "cross": l1 + l2, "l2": l2, "2l1": 2 * l1, "l1": l1,
+            "merged": l2}
+
+
+def slot_layout(lam, parts, order: ScaleRegime | None = None) -> tuple[tuple, tuple]:
+    """Decays (strictly decreasing) and matching coefficients of l and m.
+
+    ``parts`` is (u, c, w) from ``coefficient_core``, floats or arrays.
+    ``order`` fixes the two-factor slot order; by default the exact
+    2 lam_1 vs lam_2 comparison picks it (merged slot only on equality).
+    """
+    u, c, w = parts
+    if len(lam) == 1:
         return (2 * lam[0], lam[0]), (u[0], w[0])
-    l1, l2 = lam
-    if 2 * l1 < l2:
-        return (2 * l2, l1 + l2, l2, 2 * l1, l1), (u[1], c, w[1], u[0], w[0])
-    if 2 * l1 > l2:
-        return (2 * l2, l1 + l2, 2 * l1, l2, l1), (u[1], c, u[0], w[1], w[0])
-    return (2 * l2, l1 + l2, l2, l1), (u[1], c, w[1] + u[0], w[0])
+    if order is None:
+        a, b = 2 * lam[0], lam[1]
+        order = ScaleRegime.SEPARATED if a < b else (
+            ScaleRegime.PROXIMAL if a > b else ScaleRegime.CRITICAL)
+    value = {"2l2": u[1], "cross": c, "l2": w[1], "2l1": u[0], "l1": w[0],
+             "merged": w[1] + u[0]}
+    pick = itemgetter(*SLOT_TAGS[order])
+    return pick(slot_decays(*lam)), pick(value)
 
 
 def l_coefficients(model: VasicekModel, z) -> DPolynomial:
@@ -252,13 +296,13 @@ def l_coefficients(model: VasicekModel, z) -> DPolynomial:
     ``w_2 + u_1`` slot only on exact scale-criticality), independent of
     the tolerant regime label.
     """
-    decays, coeffs = _decay_layout(model, z)
+    decays, coeffs = slot_layout(model.lam, coefficient_parts(model, z))
     return DPolynomial(ExpBasis(F_KIND, decays), coeffs)
 
 
 def m_coefficients(model: VasicekModel, z) -> DPolynomial:
     """Yield-curve derivative: same coefficients, integrated-kernel basis."""
-    decays, coeffs = _decay_layout(model, z)
+    decays, coeffs = slot_layout(model.lam, coefficient_parts(model, z))
     return DPolynomial(ExpBasis(G_KIND, decays), coeffs)
 
 
@@ -288,7 +332,7 @@ def yield_curve(model: VasicekModel, z, x):
     Y(x) = f(0) + x * sum_k a_k [h(g_k x) - g_{g_k}(x)] with
     h(u) = (1 - e^-u)/u, so no quadrature and no A(x) are needed.
     """
-    decays, coeffs = _decay_layout(model, z)
+    decays, coeffs = slot_layout(model.lam, coefficient_parts(model, z))
     f0 = short_rate(model, z)
     xs = np.asarray(x, dtype=float)
     scalar = xs.ndim == 0

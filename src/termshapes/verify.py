@@ -28,10 +28,10 @@ import numpy as np
 
 from . import signseq
 from .classify import (
-    AdmissibleSet,
     admissible_shapes,
     classify_forward,
     classify_yield,
+    rho_class_of,
 )
 from .descartes import (
     DPolynomial,
@@ -44,7 +44,7 @@ from .descartes import (
     sseq_of_dpoly,
 )
 from .signseq import ShapeName, Sign, SignSeq, shape_of
-from .vasicek import ScaleRegime, VasicekModel, ou_exact_step, regime
+from .vasicek import ScaleRegime, VasicekModel, coefficient_core, ou_exact_step, slot_layout
 
 RhoClassOption = Literal["nonnegative", "negative", "any"]
 
@@ -176,27 +176,25 @@ def instance_model(inst: dict, i: int) -> tuple[VasicekModel, tuple[float, float
 def _slot_arrays(inst: dict, reg: ScaleRegime) -> tuple[np.ndarray, np.ndarray]:
     """Decay and coefficient columns in increasing-decay order.
 
+    The reversed stack of ``vasicek.slot_layout`` for the caller's
+    regime, with the coefficients from ``vasicek.coefficient_core``.
     Model parameters may be arrays (one model per row) or scalars (one
     model shared by every row, which gives decays of shape (k,)).
     Critical instances carry the merged w2 + u1 slot, keeping the column
     layout regime-static so terminal signs vectorise.
     """
-    l1, l2 = inst["lam1"], inst["lam2"]
-    k1, k2 = inst["kappa1"], inst["kappa2"]
-    s1, s2 = inst["sigma1"], inst["sigma2"]
-    u1 = s1 * s1 * k1 * k1 / l1
-    u2 = s2 * s2 * k2 * k2 / l2
-    mixed = inst["rho"] * s1 * s2 * k1 * k2 / (l1 * l2)
-    c = (l1 + l2) * mixed
-    w1 = k1 * l1 * (inst["theta1"] - inst["z1"]) - u1 - l1 * mixed
-    w2 = k2 * l2 * (inst["theta2"] - inst["z2"]) - u2 - l2 * mixed
-    if reg is ScaleRegime.SEPARATED:
-        decays, coeffs = [l1, 2 * l1, l2, l1 + l2, 2 * l2], [w1, u1, w2, c, u2]
-    elif reg is ScaleRegime.PROXIMAL:
-        decays, coeffs = [l1, l2, 2 * l1, l1 + l2, 2 * l2], [w1, w2, u1, c, u2]
-    else:
-        decays, coeffs = [l1, l2, l1 + l2, 2 * l2], [w1, w2 + u1, c, u2]
-    return np.stack(decays, axis=-1), np.stack(np.broadcast_arrays(*coeffs), axis=-1)
+    lam, theta, kappa, sigma, z = (
+        tuple(inst[f"{name}{i}"] for i in (1, 2))
+        for name in ("lam", "theta", "kappa", "sigma", "z")
+    )
+    return _columns(lam, coefficient_core(lam, theta, kappa, sigma, inst["rho"], z), reg)
+
+
+def _columns(lam, parts, order: ScaleRegime | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``vasicek.slot_layout`` reversed and stacked: increasing-decay columns."""
+    decays, coeffs = slot_layout(lam, parts, order)
+    coeffs = np.broadcast_arrays(*coeffs[::-1])
+    return np.stack(decays[::-1], axis=-1), np.stack(coeffs, axis=-1)
 
 
 def _terminal_signs(decays: np.ndarray, coeffs: np.ndarray, kind: str) -> np.ndarray:
@@ -358,12 +356,6 @@ def decode_shape(code: int) -> ShapeName:
     return shape_of(SignSeq.pure(first, changes))
 
 
-def _pure_sseq(first: int, changes: int) -> SignSeq:
-    if first == 0:
-        return signseq.EMPTY_PURE
-    return SignSeq.pure(Sign(int(first)), int(changes))
-
-
 def sweep_theorem(cfg: SweepConfig) -> SweepReport:
     """One randomized sweep of the shape-classification theorem.
 
@@ -382,9 +374,12 @@ def sweep_theorem(cfg: SweepConfig) -> SweepReport:
     fwd_codes = _shape_codes(fwd_first, fwd_changes)
     yld_codes = _shape_codes(yld_first, yld_changes)
 
-    admissible = admissible_shapes(cfg.regime, _effective_rho_class(cfg.rho_class))
-    allowed = np.array(sorted(shape_code(s) for s in admissible.shapes))
-    member_ok = np.isin(fwd_codes, allowed) & np.isin(yld_codes, allowed)
+    # Each row is held to its own correlation sign's admissible set.
+    negative = inst["rho"] < 0
+    member_ok = np.empty(cfg.n_samples, dtype=bool)
+    for rows, rho_class in ((negative, "negative"), (~negative, "nonnegative")):
+        allowed = [shape_code(s) for s in admissible_shapes(cfg.regime, rho_class).shapes]
+        member_ok[rows] = np.isin(fwd_codes[rows], allowed) & np.isin(yld_codes[rows], allowed)
     head_ok = (yld_first == 0) | (
         (yld_first == fwd_first) & (yld_changes <= fwd_changes)
     )
@@ -392,13 +387,13 @@ def sweep_theorem(cfg: SweepConfig) -> SweepReport:
     violations: list[dict] = []
     head_failures: list[dict] = []
     for i in np.flatnonzero(~member_ok | ~head_ok):
-        entry = _recheck_instance(inst, int(i), admissible)
+        entry = _recheck_instance(inst, int(i), cfg.regime)
         if entry is None:
             continue
         kind, dump = entry
         (violations if kind == "membership" else head_failures).append(dump)
 
-    report = SweepReport(
+    return SweepReport(
         config=cfg,
         samples=cfg.n_samples,
         forward_histogram=_histogram(fwd_codes),
@@ -407,13 +402,6 @@ def sweep_theorem(cfg: SweepConfig) -> SweepReport:
         head_failures=head_failures,
         runtime_seconds=time.perf_counter() - t0,
     )
-    return report
-
-
-def _effective_rho_class(rho_class: RhoClassOption) -> Literal["nonnegative", "negative"]:
-    # 'any' only differs from the named classes in the proximal regime,
-    # where sweeps always pin the class; treat it as the wider set.
-    return "negative" if rho_class == "negative" else "nonnegative"
 
 
 def _histogram(codes: np.ndarray) -> dict[str, int]:
@@ -421,15 +409,15 @@ def _histogram(codes: np.ndarray) -> dict[str, int]:
     return {str(decode_shape(int(u))): int(c) for u, c in zip(uniq, counts)}
 
 
-def _recheck_instance(
-    inst: dict, i: int, admissible: AdmissibleSet
-) -> tuple[str, dict] | None:
+def _recheck_instance(inst: dict, i: int, reg: ScaleRegime) -> tuple[str, dict] | None:
     """Careful re-classification of a flagged instance.
 
-    Returns None when the careful path clears it (batch-resolution
-    artifact), else ('membership' | 'head', dump).
+    Membership is judged against the admissible set of the instance's
+    own correlation sign.  Returns None when the careful path clears it
+    (batch-resolution artifact), else ('membership' | 'head', dump).
     """
     model, state = instance_model(inst, i)
+    admissible = admissible_shapes(reg, rho_class_of(model))
     fwd = classify_forward(model, state)
     yld = classify_yield(model, state)
     dump = {
@@ -477,15 +465,9 @@ def strict_attainability_mc(
 def _fixed_model_slots(model: VasicekModel, states) -> tuple[np.ndarray, np.ndarray]:
     """One shared decay row (k,) and per-state coefficients (n, k)."""
     states = np.atleast_2d(np.asarray(states, dtype=float))
-    if model.d == 1:
-        (lam,), (kappa,), (sigma,), (theta,) = model.lam, model.kappa, model.sigma, model.theta
-        u1 = (sigma * sigma) * (kappa * kappa) / lam
-        w1 = kappa * lam * (theta - states[:, 0]) - u1
-        return np.array([lam, 2 * lam]), np.stack(np.broadcast_arrays(w1, u1), axis=-1)
-    names = ("lam", "kappa", "sigma", "theta")
-    inst = {f"{name}{i + 1}": getattr(model, name)[i] for name in names for i in range(2)}
-    inst.update(rho=model.rho, z1=states[:, 0], z2=states[:, 1])
-    return _slot_arrays(inst, regime(model))
+    z = tuple(states[:, i] for i in range(model.d))
+    parts = coefficient_core(model.lam, model.theta, model.kappa, model.sigma, model.rho, z)
+    return _columns(model.lam, parts)
 
 
 def _fixed_model_codes(
@@ -597,7 +579,9 @@ def perturbation_stability_check(n_cases: int, seed: int) -> PerturbationReport:
             ("near", 0.99 * delta),
             ("far", 100.0 * delta),
         ):
-            perturbed_sseq, _ = sseq_of_dpoly(perturb_coefficients(poly, eps))
+            perturbed = perturb_coefficients(poly, eps)
+            # eps = 0 gives back poly itself; its scan is the base scan.
+            perturbed_sseq = base_sseq if perturbed == poly else sseq_of_dpoly(perturbed)[0]
             outcomes[label] = signseq.equivalent(base_sseq, perturbed_sseq)
         report.equivalent_at_zero += outcomes["zero"]
         report.equivalent_at_half_delta += outcomes["half"]

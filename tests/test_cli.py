@@ -102,6 +102,25 @@ class TestClassifyCommand:
         )
         assert cli.main(["classify", "--model", path, "--z", "0.0"]) == 2
 
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"lambda": 5}, "lambda must be a list of numbers"),
+            ({"kappa0": None}, "kappa0 must be a number"),
+            ({"z": 5}, "state vector must have 2 entries"),
+            ({"z": [None, 0.0]}, "state entries must be numbers"),
+            ({"lambda": [1.0, 1e308]}, "2*lambda must be finite"),
+        ],
+    )
+    def test_malformed_document_exits_2(self, tmp_path, capsys, change, message):
+        doc = {"d": 2, "lambda": [1.0, 3.0], "theta": [0.01, 0.02], "kappa": [1.0, 0.8],
+               "kappa0": 0.005, "sigma": [0.3, 0.5], "rho": -0.2, "z": [0.02, -0.01]}
+        path = write_model(tmp_path, {**doc, **change})
+        assert cli.main(["classify", "--model", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
 
 class TestAttainCommand:
     def test_normal_solution(self, separated_file, capsys):

@@ -8,6 +8,7 @@ import pytest
 
 from termshapes import classify as cl
 from termshapes import signseq as ss
+from termshapes import vasicek as vk
 from termshapes import verify as vf
 from termshapes.attain import construct_target
 from termshapes.signseq import NAMED_SHAPES, SignSeq
@@ -73,6 +74,16 @@ class TestSweep:
         r1 = sweep_theorem(SweepConfig(seed=1, **base))
         r2 = sweep_theorem(SweepConfig(seed=2, **base))
         assert r1.forward_histogram != r2.forward_histogram
+
+    def test_any_correlation_rows_judged_by_their_own_sign(self):
+        # Seed 3 draws an HDH row with rho = -0.998, which the proximal
+        # negative-correlation set admits and the nonnegative one does not.
+        cfg = SweepConfig(
+            regime=ScaleRegime.PROXIMAL, rho_class="any", n_samples=10000, seed=3
+        )
+        report = sweep_theorem(cfg)
+        assert report.passed
+        assert report.forward_histogram.get("HDH", 0) > 0
 
     def test_runtime_excluded_from_serialization_by_default(self):
         cfg = SweepConfig(regime=ScaleRegime.CRITICAL, n_samples=100, seed=3)
@@ -163,6 +174,56 @@ SHARED_MODELS = {
         kappa0=0.0, sigma=(0.8, 0.5), rho=-0.7,
     ),
 }
+
+
+def _one_factor_models(n, seed):
+    rng = np.random.default_rng(seed)
+    return {
+        f"one-factor-{i}": VasicekModel(
+            lam=(rng.uniform(0.05, 2.0),), theta=(rng.uniform(-0.1, 0.15),),
+            kappa=(rng.uniform(0.1, 3.0),), kappa0=0.0, sigma=(rng.uniform(0.0, 1.0),),
+        )
+        for i in range(n)
+    }
+
+
+# Ratios within 1e-12 of critical read as critical to the tolerant
+# regime() label but keep five slots under the exact layout.
+LAYOUT_MODELS = {
+    **_one_factor_models(8, seed=11),
+    **{name: SHARED_MODELS[name] for name in ("separated", "proximal", "critical")},
+    **{
+        f"critical{side:+.0e}": VasicekModel(
+            lam=(0.7, 1.4 * (1 + side)), theta=(0.01, -0.02), kappa=(1.0, 0.9),
+            kappa0=0.0, sigma=(0.8, 0.5), rho=-0.7,
+        )
+        for side in (-1e-13, 1e-13)
+    },
+}
+
+
+class TestSlotLayout:
+    """The batch slot rows are the scalar layout, reversed, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(LAYOUT_MODELS))
+    def test_fixed_model_rows_equal_scalar_layout(self, name):
+        model = LAYOUT_MODELS[name]
+        states = np.random.default_rng(5).uniform(-0.3, 0.3, (40, model.d))
+        decays, coeffs = vf._fixed_model_slots(model, states)
+        for z, row in zip(states, coeffs):
+            poly = vk.l_coefficients(model, z)
+            assert tuple(decays[::-1].tolist()) == poly.basis.decays
+            assert tuple(row[::-1].tolist()) == poly.coefficients
+
+    @pytest.mark.parametrize("regime,rho_class", REGIME_CLASSES)
+    def test_sweep_rows_equal_scalar_layout(self, regime, rho_class):
+        cfg = SweepConfig(regime=regime, rho_class=rho_class, n_samples=300, seed=77)
+        inst = vf.sample_instances(cfg, np.random.default_rng(cfg.seed), 300)
+        decays, coeffs = vf._slot_arrays(inst, regime)
+        for i in range(300):
+            poly = vk.l_coefficients(*vf.instance_model(inst, i))
+            assert tuple(decays[i, ::-1].tolist()) == poly.basis.decays
+            assert tuple(coeffs[i, ::-1].tolist()) == poly.coefficients
 
 
 class TestScanInternals:
