@@ -118,6 +118,16 @@ class VasicekModel:
             raise ValueError("volatilities must be non-negative")
         if not -1.0 <= self.rho <= 1.0:
             raise ValueError("correlation must lie in [-1, 1]")
+        derived = (
+            *(s * s * k * k / l for s, k, l in zip(self.sigma, self.kappa, self.lam)),  # u
+            *(l * t * k for l, t, k in zip(self.lam, self.theta, self.kappa)),
+            *(si * sj for si in self.sigma for sj in self.sigma),  # covariance over rho
+        )
+        if not all(math.isfinite(v) for v in derived):
+            raise ValueError(
+                "model parameters overflow: sigma^2 kappa^2 / lambda, lambda theta kappa, "
+                "sigma_i sigma_j and the covariance must be finite"
+            )
 
     @property
     def d(self) -> int:

@@ -220,6 +220,13 @@ def _g_series32(u: np.ndarray) -> np.ndarray:
     )
 
 
+def _sign_runs(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row (first sign, change count, last sign) of rows without zero
+    samples, from ``pos`` (sample > 0)."""
+    changes = (pos[:, 1:] != pos[:, :-1]).sum(axis=1, dtype=np.int32)
+    return 2 * pos[:, 0].astype(np.int8) - 1, changes, 2 * pos[:, -1].astype(np.int8) - 1
+
+
 def _first_changes_of_values(
     vals: np.ndarray, mag: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -235,9 +242,7 @@ def _first_changes_of_values(
     eps = np.float32(1e-6) * mag
     pos = vals > eps
     nonzero = pos | (vals < -eps)
-    changes = (pos[:, 1:] != pos[:, :-1]).sum(axis=1, dtype=np.int32)
-    first = 2 * pos[:, 0].astype(np.int8) - 1
-    last = 2 * pos[:, -1].astype(np.int8) - 1
+    first, changes, last = _sign_runs(pos)
     gappy = np.flatnonzero(~nonzero.all(axis=1))
     if gappy.size:
         row, col = np.nonzero(nonzero[gappy])  # row-major: each row's samples in order
@@ -276,19 +281,36 @@ def _scan_curves(
 
     Both basis functions depend only on u = decay * x, so u is scanned on
     the row-normalised window x <= 20 / min decay and the single exp per
-    slot feeds both curves.  ``decays`` is (n, k), or one shared row of
-    shape (k,) for a fixed model, whose exp and G samples are then made
-    once per slot instead of once per row.  G's series branch (u < 0.25)
-    only reaches the first few columns, since u >= 20 t.  Rows go through
-    in float32 chunks of ``_CHUNK``, small enough that the few live
-    (chunk, m) arrays stay near cache size.  The x = 0 column is exact
-    (coefficient sum, halved for the yield kind).  Tails close with the
-    analytic terminal signs.
+    slot feeds both curves.  Slot 0 is the slowest, and every row is
+    scaled so that slot 0's float32 decay is exactly 20: its exp and G
+    samples are made once per call and shared by all rows.  ``decays``
+    is (n, k), or one shared row of shape (k,) for a fixed model, whose
+    other slots are then made once per call too.  G's series branch
+    (u < 0.25) only reaches the first few columns, since u >= 20 t.
+    Rows go through in float32 chunks of ``_CHUNK``, small enough that
+    the few live (chunk, m) arrays stay near cache size.  The x = 0
+    column is exact (coefficient sum, halved for the yield kind).  Tails
+    close with the analytic terminal signs.
+
+    A sample counts as zero when it lies within 1e-6 of its magnitude
+    sum vm = sum_j |a_j| b_j.  Every basis sample is at most slot 0's,
+    so vm <= abs_sum * b_0, and a sample with |v| > 2e-6 * abs_sum * b_0
+    keeps the sign of v; the factor 2 covers float32 rounding, and at
+    x = 0 the bound reads half * abs_sum.  Only rows with a sample
+    inside that bound build vm, slot by slot as v is built, and go
+    through ``_first_changes_of_values``.  No float32 sum is reordered,
+    so every row's result is the one the exact floor gives.
     """
     n, k = coeffs.shape
-    d = (decays * (20.0 / decays[..., :1])).astype(np.float32)  # slot 0 is slowest
+    d = (decays[..., 1:] * (20.0 / decays[..., :1])).astype(np.float32)  # slots 1..k-1
     t = np.linspace(0.0, 1.0, m)[1:].astype(np.float32)
-    shared = [_basis_samples(d[j], t, curves) for j in range(k)] if d.ndim == 1 else None
+    slow = _basis_samples(np.float32(20.0), t, curves)
+    shared = [slow] + [_basis_samples(dj, t, curves) for dj in d] if d.ndim == 1 else None
+    half = {"forward": 1.0, "yield": 0.5}
+    # Per unit of abs_sum, the bound at x = 0 and along t.
+    ceiling = {
+        c: np.float32(2e-6) * np.concatenate((np.float32([half[c]]), slow[c])) for c in curves
+    }
     coef_sum = np.sum(coeffs, axis=1).astype(np.float32)
     abs_sum = np.sum(np.abs(coeffs), axis=1).astype(np.float32)
     out = {
@@ -296,24 +318,41 @@ def _scan_curves(
         for c in curves
     }
 
+    def slot_samples(j, rows):
+        if shared:
+            return shared[j]
+        return slow if j == 0 else _basis_samples(d[rows, j - 1], t, curves)
+
     for start in range(0, n, _CHUNK):
         sl = slice(start, min(start + _CHUNK, n))
         a = coeffs[sl].astype(np.float32)
-        a_abs = np.abs(a)
-        sums = {}
+        # The x > 0 samples accumulate in contiguous arrays, slot by slot.
+        acc = {c: a[:, :1] * slow[c] for c in curves}
+        for j in range(1, k):
+            samples = slot_samples(j, sl)
+            for curve in curves:
+                acc[curve] += a[:, j, None] * samples[curve]
         for curve in curves:
-            half = 1.0 if curve == "forward" else 0.5
-            v, vm = np.zeros((2, a.shape[0], m), dtype=np.float32)
-            v[:, 0], vm[:, 0] = half * coef_sum[sl], half * abs_sum[sl]
-            sums[curve] = v, vm
-        for j in range(k):
-            basis = shared[j] if shared else _basis_samples(d[sl, j], t, curves)
-            for curve, (v, vm) in sums.items():
-                v[:, 1:] += a[:, j, None] * basis[curve]
-                vm[:, 1:] += a_abs[:, j, None] * basis[curve]
-        for curve, (v, vm) in sums.items():
-            for arr, res in zip(out[curve], _first_changes_of_values(v, vm)):
-                arr[sl] = res
+            v0, v = half[curve] * coef_sum[sl], acc.pop(curve)  # x = 0 and x > 0
+            pos = np.empty((v.shape[0], m), dtype=bool)
+            pos[:, 0] = v0 > 0
+            np.greater(v, 0, out=pos[:, 1:])
+            res = _sign_runs(pos)
+            # Rows with a sample inside the bound (or NaN) take the exact floor.
+            clear = np.abs(v0) > abs_sum[sl] * ceiling[curve][0]
+            clear &= (np.abs(v) > abs_sum[sl, None] * ceiling[curve][1:]).all(axis=1)
+            rows = np.flatnonzero(~clear)
+            if rows.size:
+                vm = np.zeros((rows.size, m), dtype=np.float32)
+                vm[:, 0] = half[curve] * abs_sum[sl][rows]
+                a_abs = np.abs(a[rows])
+                for j in range(k):
+                    vm[:, 1:] += a_abs[:, j, None] * slot_samples(j, start + rows)[curve]
+                vals = np.concatenate((v0[rows, None], v[rows]), axis=1)
+                for arr, exact in zip(res, _first_changes_of_values(vals, vm)):
+                    arr[rows] = exact
+            for arr, r in zip(out[curve], res):
+                arr[sl] = r
 
     results: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for curve in curves:

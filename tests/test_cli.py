@@ -284,3 +284,25 @@ class TestCurvesCommand:
             ["curves", "--model", one_factor_file, "--z", "0.0", "--out", str(out)]
         ) == 0
         assert out.read_text().startswith("x,f,Y,l,m\n")
+
+
+class TestModelOverflow:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "change",
+        [{"sigma": [1.0, 1e308]}, {"sigma": [1e200, 1e200]}, {"theta": [0.01, 1e308]},
+         {"kappa": [1e308, 0.8]}],
+    )
+    @pytest.mark.parametrize(
+        "command", [["classify"], ["curves"], ["simulate", "--shape", "HD", "--paths", "10"]]
+    )
+    def test_overflowing_parameters_exit_2(self, tmp_path, capsys, change, command):
+        # Each document's parameters are finite, but u = sigma^2 kappa^2 /
+        # lambda, lambda theta kappa or the covariance overflows.
+        doc = {"d": 2, "lambda": [1.0, 3.0], "theta": [0.01, 0.02], "kappa": [1.0, 0.8],
+               "kappa0": 0.005, "sigma": [0.3, 0.5], "rho": -0.2, "z": [0.02, -0.01]}
+        path = write_model(tmp_path, {**doc, **change})
+        assert cli.main([*command, "--model", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "overflow" in err and "Traceback" not in err

@@ -11,6 +11,7 @@ from termshapes import signseq as ss
 from termshapes import vasicek as vk
 from termshapes import verify as vf
 from termshapes.attain import construct_target
+from termshapes.descartes import F_KIND, G_KIND
 from termshapes.signseq import NAMED_SHAPES, SignSeq
 from termshapes.vasicek import ScaleRegime, VasicekModel
 from termshapes.verify import (
@@ -143,6 +144,50 @@ def _forward_fill_first_changes(vals, mag):
     return first, switch.sum(axis=1, dtype=np.int32), fill[:, -1]
 
 
+def _two_accumulator_scan(decays, coeffs, m=vf.BATCH_SAMPLES, curves=("forward", "yield")):
+    """The batch scan before the bound-first zero test; an oracle.
+
+    Every row accumulates its values and its magnitude sums (the exact
+    1e-6 floor) in float32, slot by slot, each slot's samples made from
+    the row's own scaled decay.
+    """
+    n, k = coeffs.shape
+    d = (decays * (20.0 / decays[..., :1])).astype(np.float32)
+    t = np.linspace(0.0, 1.0, m)[1:].astype(np.float32)
+    shared = [vf._basis_samples(d[j], t, curves) for j in range(k)] if d.ndim == 1 else None
+    coef_sum = np.sum(coeffs, axis=1).astype(np.float32)
+    abs_sum = np.sum(np.abs(coeffs), axis=1).astype(np.float32)
+    out = {
+        c: (np.zeros(n, dtype=np.int8), np.zeros(n, dtype=np.int32), np.zeros(n, dtype=np.int8))
+        for c in curves
+    }
+    for start in range(0, n, vf._CHUNK):
+        sl = slice(start, min(start + vf._CHUNK, n))
+        a = coeffs[sl].astype(np.float32)
+        a_abs = np.abs(a)
+        sums = {}
+        for curve in curves:
+            half = 1.0 if curve == "forward" else 0.5
+            v, vm = np.zeros((2, a.shape[0], m), dtype=np.float32)
+            v[:, 0], vm[:, 0] = half * coef_sum[sl], half * abs_sum[sl]
+            sums[curve] = v, vm
+        for j in range(k):
+            basis = shared[j] if shared else vf._basis_samples(d[sl, j], t, curves)
+            for curve, (v, vm) in sums.items():
+                v[:, 1:] += a[:, j, None] * basis[curve]
+                vm[:, 1:] += a_abs[:, j, None] * basis[curve]
+        for curve, (v, vm) in sums.items():
+            for arr, res in zip(out[curve], vf._first_changes_of_values(v, vm)):
+                arr[sl] = res
+    results = {}
+    for curve in curves:
+        first, changes, last = out[curve]
+        term = vf._terminal_signs(decays, coeffs, F_KIND if curve == "forward" else G_KIND)
+        changes = changes + ((last != 0) & (term != 0) & (term != last)).astype(np.int32)
+        results[curve] = (np.where(first == 0, term, first), changes)
+    return results
+
+
 def _slot_rows(model, n, seed):
     states = np.random.default_rng(seed).uniform(-0.3, 0.3, (n, model.d))
     return vf._fixed_model_slots(model, states)
@@ -173,6 +218,28 @@ SHARED_MODELS = {
         lam=(0.7, 1.4 * (1 - 5e-7)), theta=(0.01, -0.02), kappa=(1.0, 0.9),
         kappa0=0.0, sigma=(0.8, 0.5), rho=-0.7,
     ),
+}
+
+
+def _sweep_rows(n, lam2_ratio=None):
+    """(n, k) slot rows of separated sweep draws, optionally with lambda2 =
+    2 lambda1 * lam2_ratio."""
+    inst = vf.sample_instances(SweepConfig(ScaleRegime.SEPARATED), np.random.default_rng(n), n)
+    reg = ScaleRegime.SEPARATED
+    if lam2_ratio is not None:
+        inst["lam2"] = 2 * inst["lam1"] * lam2_ratio
+        reg = ScaleRegime.SEPARATED if lam2_ratio > 1 else ScaleRegime.PROXIMAL
+    return vf._slot_arrays(inst, reg)
+
+
+# Per-row and shared decay rows, with lambda2 = 2 lambda1 (1 -/+ 5e-7)
+# putting two slots within 1e-6 of each other near the G series switch.
+BOUND_SOURCES = {
+    "sweep": _sweep_rows,
+    "sweep-critical-5e-7": lambda n: _sweep_rows(n, 1 - 5e-7),
+    "sweep-critical+5e-7": lambda n: _sweep_rows(n, 1 + 5e-7),
+    "fixed-critical-5e-7": lambda n: _slot_rows(SHARED_MODELS["near-proximal"], n, seed=n),
+    "fixed-critical+5e-7": lambda n: _slot_rows(SHARED_MODELS["near-separated"], n, seed=n),
 }
 
 
@@ -268,6 +335,37 @@ class TestScanInternals:
         for curve in ("forward", "yield"):
             for a, b in zip(shared[curve], per_row[curve]):
                 np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("edit", ["tiny-slowest", "cancel-at-zero"])
+    @pytest.mark.parametrize("source", sorted(BOUND_SOURCES))
+    @pytest.mark.parametrize("n", [0, 1, vf._CHUNK - 1, vf._CHUNK, vf._CHUNK + 1])
+    def test_bound_first_scan_matches_two_accumulator_oracle(
+        self, monkeypatch, source, edit, n
+    ):
+        decays, coeffs = BOUND_SOURCES[source](n)
+        coeffs = coeffs.copy()
+        if edit == "tiny-slowest":
+            coeffs[:, 0] *= 1e-9
+        else:
+            # x = 0 sums between 0.5e-6 and 3e-6 of the magnitude sum, of
+            # either sign: around the exact floor and inside the bound.
+            rest = coeffs[:, :-1]
+            rel = np.linspace(1e-6, 3e-6, n) * np.where(np.arange(n) % 2, 1.0, -1.0)
+            coeffs[:, -1] = rel * np.abs(rest).sum(axis=1) - rest.sum(axis=1)
+        want = _two_accumulator_scan(decays, coeffs)
+        undecided = []
+        exact_floor = vf._first_changes_of_values
+
+        def counted(vals, mag):
+            undecided.append(vals.shape[0])
+            return exact_floor(vals, mag)
+
+        monkeypatch.setattr(vf, "_first_changes_of_values", counted)
+        got = vf._scan_curves(decays, coeffs)
+        for curve in ("forward", "yield"):
+            for g, w in zip(got[curve], want[curve]):
+                np.testing.assert_array_equal(g, w)
+        assert (sum(undecided) > 0) == (n > 0)
 
     def test_leading_series_columns_match_full_width(self):
         # Near-critical instances put slots within 1e-6 of each other;
