@@ -5,11 +5,13 @@
 
 Runs every workload that ``BENCHMARK.json`` lists, once per seed,
 through ``bench/run.py --trace 0`` at the file's run length, then the
-acceptance criteria (``pytest tests/test_acceptance.py -s``), and writes
+acceptance criteria (``pytest tests/test_acceptance.py -s``) and the
+tier-1 suite (``pytest -q --continue-on-collection-errors``), and writes
 ``BENCH_<label>.json`` at the root of this checkout.  The file holds the
 machine (core count, Python, numpy, mpmath), each end-to-end metric's
 median, interquartile range, run count and per-seed values, the share
-of failed operations, and each criterion's time against its budget.
+of failed operations, each criterion's time against its budget, and the
+tier-1 outcome counts and wall time.
 
 Runs go one after the other, so a run never shares the machine with
 another.  Standard library only.
@@ -27,12 +29,14 @@ import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CRITERION = re.compile(
     r"ACCEPTANCE (\d+) \((.*?)\): (PASS|FAIL) .*\[([\d.]+)s of (\d+)s budget\]"
 )
+OUTCOME = re.compile(r"(\d+) (passed|failed|errors?|skipped|xfailed|xpassed)")
 
 
 def _spread(values: list[float]) -> dict:
@@ -50,16 +54,30 @@ def _run_workload(name: str, seed: int, seconds: int) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def _criteria() -> dict:
+def _pytest(*args: str) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    cmd = [sys.executable, "-m", "pytest", "tests/test_acceptance.py", "-s", "-q",
-           "-p", "no:cacheprovider"]
-    proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *args]
+    return subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
+
+
+def _criteria() -> dict:
+    proc = _pytest("tests/test_acceptance.py", "-s")
     return {
         number: {"title": title, "status": status, "seconds": float(sec),
                  "budget_s": float(budget)}
         for number, title, status, sec, budget in CRITERION.findall(proc.stdout)
     }
+
+
+def _tier1() -> dict:
+    """Outcome counts of the tier-1 suite (from pytest's summary line) and
+    its wall time."""
+    start = time.perf_counter()
+    proc = _pytest("--continue-on-collection-errors")
+    wall = time.perf_counter() - start
+    summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+    counts = {kind: int(n) for n, kind in OUTCOME.findall(summary)}
+    return {"counts": counts, "exit_code": proc.returncode, "wall_s": round(wall, 2)}
 
 
 def _version(package: str) -> str:
@@ -109,6 +127,7 @@ def main(argv=None) -> int:
         "seeds": args.seeds,
         "workloads": workloads,
         "acceptance": _criteria(),
+        "tier1": _tier1(),
     }
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=2) + "\n")

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Print one sha256 per output array of the float32 batch scan.
+"""Print one sha256 per output array of the float32 batch scan, and one
+per output stream of the careful scanner.
 
     python3 scripts/scan_digest.py > digest.txt
 
@@ -12,10 +13,19 @@ the batch scan returns bit-identical results on
 - ``verify._fixed_model_codes`` (both curves) on seven fixed models at
   50,000 seeded states each: one-factor, each scale regime, lambda2 =
   2 lambda1 (1 -/+ 5e-7) on either side of critical, and critical with
-  rho = -0.8.
+  rho = -0.8;
 
-The package is imported from this checkout's ``src/``.  It takes about
-half a minute.
+and that the careful path (``descartes.sseq_of_dpoly``) does on
+
+- ``classify_forward`` and ``classify_yield`` reports (sign sequence,
+  extrema, diagnostics) on 2,000 rows of each criterion-4 stratum, seeds
+  41 to 45;
+- ``sseq_of_dpoly`` (sign sequence and zeros) and ``perturbation_delta``
+  on 4,000 seeded random sums, 4,000 near-equal-decay sums, and 2,000
+  interpolants each with clustered and with far-out prescribed zeros.
+
+An exception is digested as its type and message.  The package is
+imported from this checkout's ``src/``.  It takes about a minute.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from termshapes import verify  # noqa: E402
+from termshapes import classify, descartes, verify  # noqa: E402
 from termshapes.vasicek import ScaleRegime, VasicekModel  # noqa: E402
 
 STRATA = (
@@ -40,6 +50,8 @@ STRATA = (
 )
 SWEEP_ROWS = 100_000
 STATES = 50_000
+CAREFUL_ROWS = 2_000
+SUMS = 4_000
 
 
 def _two_factor(lam2: float, rho: float, lam1: float = 0.7) -> VasicekModel:
@@ -64,6 +76,57 @@ def _digest(arr: np.ndarray) -> str:
     return hashlib.sha256(f"{arr.dtype}{arr.shape}".encode() + arr.tobytes()).hexdigest()
 
 
+def _outcome(fn) -> bytes:
+    try:
+        text = repr(fn())
+    except (ValueError, RuntimeError) as exc:
+        text = f"{type(exc).__name__}: {exc}"
+    return (text + "\n").encode()
+
+
+def _scan(p: descartes.DPolynomial):
+    seq, zeros = descartes.sseq_of_dpoly(p)
+    return str(seq), zeros
+
+
+def _family_decays(rng: np.random.Generator) -> tuple[float, ...]:
+    """Slot decays of a sampled two-factor model (a merged slot at criticality)."""
+    l1 = rng.uniform(0.05, 2.0)
+    l2 = 2.0 * l1 * (1.0 + rng.choice([rng.uniform(0.05, 1.5), -rng.uniform(0.05, 0.45), 0.0]))
+    middle = (l2, 2 * l1) if l2 > 2 * l1 else (2 * l1, l2) if l2 < 2 * l1 else (l2,)
+    return (2 * l2, l1 + l2, *middle, l1)
+
+
+def _sum_families():
+    """Seeded polynomial families for the careful scanner, by name."""
+    rng = np.random.default_rng(51)
+    random_sums = []
+    for i in range(SUMS):
+        decays = _family_decays(rng) if i % 2 else tuple(
+            sorted(set(rng.uniform(0.05, 6.0, rng.integers(1, 6))), reverse=True))
+        basis = descartes.ExpBasis("FG"[i % 4 // 2], decays)
+        random_sums.append(descartes.DPolynomial(basis, rng.standard_normal(len(decays))))
+    near_equal = []
+    for i in range(SUMS):
+        n = int(rng.integers(2, 6))
+        scale, gap = rng.uniform(0.2, 3.0), 10.0 ** -rng.integers(2, 7)
+        decays = tuple(scale * (1.0 + gap * k) for k in range(n, 0, -1))
+        basis = descartes.ExpBasis("FG"[i % 2], decays)
+        near_equal.append(descartes.DPolynomial(basis, rng.standard_normal(n)))
+    clustered, far = [], []
+    for i in range(SUMS // 2):
+        basis = descartes.ExpBasis("FG"[i % 2], _family_decays(rng))
+        n = len(basis)
+        start = rng.choice([0.0, 1e-3, 0.5, 2.0])
+        step = 10.0 ** -rng.integers(1, 5)
+        zeros = start + step * np.arange(1 if start == 0.0 else 0, n - 1 + (start == 0.0))
+        clustered.append(descartes.interpolate_prescribed_zeros(basis, zeros))
+        zeros = np.sort(rng.uniform(5.0, 60.0, n - 1)) / basis.min_positive_decay
+        far.append(descartes.interpolate_prescribed_zeros(basis, zeros))
+    return {"random": random_sums, "near-equal-decay": near_equal,
+            "clustered-zero": clustered, "far-zero": far}
+
+
 def main() -> int:
     for regime, rho_class, seed in STRATA:
         cfg = verify.SweepConfig(regime, rho_class, n_samples=SWEEP_ROWS, seed=seed)
@@ -78,6 +141,23 @@ def main() -> int:
         for curve in ("forward", "yield"):
             codes = verify._fixed_model_codes(model, states, curve)
             print(f"{_digest(codes)} fixed {name} {curve} codes")
+    for regime, rho_class, seed in STRATA:
+        cfg = verify.SweepConfig(regime, rho_class, n_samples=CAREFUL_ROWS, seed=seed)
+        inst = verify.sample_instances(cfg, np.random.default_rng(seed), CAREFUL_ROWS)
+        rows = [verify.instance_model(inst, i) for i in range(CAREFUL_ROWS)]
+        for curve, fn in (("forward", classify.classify_forward),
+                          ("yield", classify.classify_yield)):
+            h = hashlib.sha256()
+            for model, z in rows:
+                h.update(_outcome(lambda: fn(model, z).to_dict()))
+            print(f"{h.hexdigest()} careful {regime}/{rho_class}/{seed} {curve} reports")
+    for name, polys in _sum_families().items():
+        scans, deltas = hashlib.sha256(), hashlib.sha256()
+        for p in polys:
+            scans.update(_outcome(lambda: _scan(p)))
+            deltas.update(_outcome(lambda: descartes.perturbation_delta(p)))
+        print(f"{scans.hexdigest()} careful {name} sums sseq_of_dpoly")
+        print(f"{deltas.hexdigest()} careful {name} sums perturbation_delta")
     return 0
 
 

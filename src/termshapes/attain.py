@@ -509,12 +509,7 @@ def _verification_grid(sol: AttainSolution, base_grid: GridSpec | None) -> GridS
         raise NumericalInfeasibilityError(
             f"prescribed zeros too tightly clustered to verify (gap {min_gap:g})"
         )
-    return GridSpec(
-        x_max=grid.x_max,
-        n_samples=needed,
-        refine_tol=grid.refine_tol,
-        zero_eps=grid.zero_eps,
-    )
+    return GridSpec(x_max=grid.x_max, n_samples=needed)
 
 
 def residuals(sol: AttainSolution) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from . import signseq
-from .descartes import DPolynomial, GridSpec, sseq_of_dpoly
+from .descartes import REFINE_TOL, DPolynomial, GridSpec, sseq_of_dpoly
 from .signseq import (
     DH,
     DHD,
@@ -137,7 +137,7 @@ def _classify(poly: DPolynomial, curve: Curve, grid: GridSpec | None) -> ShapeRe
     diagnostics = {
         "x_max": grid.x_max,
         "n_samples": grid.n_samples,
-        "refine_tol": grid.refine_tol,
+        "refine_tol": REFINE_TOL,
         "boundary_coefficient_slots": boundary,
         "zero_residuals": [abs(poly(z)) for z in zeros],
     }

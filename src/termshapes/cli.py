@@ -29,6 +29,7 @@ from .vasicek import (
     ScaleRegime,
     VasicekModel,
     as_state,
+    coefficient_parts,
     forward_curve,
     l_coefficients,
     m_coefficients,
@@ -80,9 +81,11 @@ def _resolve_state(model: VasicekModel, z_arg: str | None, embedded) -> tuple:
     else:
         raise _CliError("no state vector: pass --z or embed \"z\" in the model file")
     try:
-        return as_state(values, model.d)
+        state = as_state(values, model.d)
+        coefficient_parts(model, state)
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
+    return state
 
 
 def _emit(text: str, out: str | None) -> None:

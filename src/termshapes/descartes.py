@@ -27,7 +27,7 @@ bound below which coefficient noise cannot alter the sign sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import mpmath as mp
@@ -46,6 +46,12 @@ _G_SERIES_CUTOFF = 1e-4
 #: correct to full double precision.
 _MINOR_DPS = 50
 
+#: Sign scan: a sample is zero at or below ZERO_EPS times the local sum of
+#: term magnitudes (the evaluation's cancellation noise scale), and each
+#: zero is bisected to REFINE_TOL (absolute in the window, relative past it).
+ZERO_EPS = 1e-12
+REFINE_TOL = 1e-10
+
 MAX_BASIS_SIZE = 5
 
 F_KIND = "F"
@@ -55,8 +61,9 @@ G_KIND = "G"
 class NumericalInconsistencyError(RuntimeError):
     """Scanned sign changes contradict the variation-diminishing bound.
 
-    Signals a grid that is too coarse or tolerances that are too loose
-    for the polynomial at hand.
+    Raised when a scan reads more sign changes than the basis allows, or
+    a change without a located zero: the grid is too coarse, or the zero
+    threshold too loose, for the polynomial at hand.
     """
 
 
@@ -80,6 +87,8 @@ class ExpBasis:
             raise ValueError(f"basis size must be 1..{MAX_BASIS_SIZE}, got {n}")
         if any(a < 0 for a in self.decays):
             raise ValueError("decay rates must be non-negative")
+        if not all(math.isfinite(a) for a in self.decays):
+            raise ValueError("decay rates must be finite")
         if any(a <= b for a, b in zip(self.decays, self.decays[1:])):
             raise ValueError("decay rates must be strictly decreasing")
 
@@ -105,6 +114,8 @@ class DPolynomial:
         )
         if len(self.coefficients) != len(self.basis):
             raise ValueError("coefficient count must match basis size")
+        if not all(math.isfinite(a) for a in self.coefficients):
+            raise ValueError("coefficients must be finite")
 
     @property
     def is_zero(self) -> bool:
@@ -116,20 +127,17 @@ class DPolynomial:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Scan grid for sign-sequence extraction.
+    """Window and sample count of the sign scan's one window pass.
 
-    ``zero_eps`` is relative: a sample counts as zero when its magnitude
-    falls below ``zero_eps`` times the local sum of term magnitudes (the
-    cancellation noise scale of the evaluation at that point).
+    ``sseq_of_dpoly`` never refines the grid or retries; its zero
+    threshold and bisection tolerance are ``ZERO_EPS`` and ``REFINE_TOL``.
     """
 
     x_max: float
     n_samples: int = 4096
-    refine_tol: float = 1e-10
-    zero_eps: float = 1e-12
 
     def __post_init__(self):
-        if self.x_max <= 0 or self.refine_tol <= 0 or self.zero_eps <= 0:
+        if self.x_max <= 0:
             raise ValueError("grid parameters must be positive")
         if self.n_samples < 64:
             raise ValueError("n_samples must be at least 64")
@@ -337,46 +345,46 @@ def _log_bisect(fn, lo: float, hi: float, flo: float, rtol: float) -> float:
 _TAIL_SAMPLES = 2048
 
 
-def _scan_tail_fn(fn, x_start: float, bound: float, settled: Sign, rtol: float,
-                  zero_eps: float):
+def _strong_signs(xs: np.ndarray, vals: np.ndarray, mag: np.ndarray):
+    """Compressed strong signs of sampled values, one (lo, hi, f(lo))
+    bracket per sign change, and the abscissa of the last nonzero sample
+    (None if every sample is zero).
+
+    A sample counts as zero when its magnitude is at most ``ZERO_EPS``
+    times ``mag``, the local sum of term magnitudes.
+    """
+    raw = np.where(np.abs(vals) <= ZERO_EPS * mag, 0, np.where(vals > 0, 1, -1))
+    nz = np.flatnonzero(raw)
+    if nz.size == 0:
+        return [], [], None
+    s = raw[nz]
+    switches = np.flatnonzero(s[1:] != s[:-1])
+    signs = [Sign(int(s[0]))] + [Sign(int(s[k + 1])) for k in switches]
+    brackets = [
+        (float(xs[nz[k]]), float(xs[nz[k + 1]]), float(vals[nz[k]])) for k in switches
+    ]
+    return signs, brackets, float(xs[nz[-1]])
+
+
+def _scan_tail_fn(fn, x_start: float, bound: float, settled: Sign):
     """Compressed signs and zeros of a rescaled tail function on
     [x_start, bound], closed with the settled sign at infinity.
 
     ``fn`` returns (values, local magnitude scale); the zero threshold is
     local, as in the window scan.
     """
-    signs: list[Sign] = []
-    zeros: list[float] = []
-    first_x: float | None = None
+    signs, zeros = [], []
     if bound > x_start:
         xs = np.geomspace(x_start, bound, _TAIL_SAMPLES)
-        vals, mag = fn(xs)
-        raw = np.where(np.abs(vals) <= zero_eps * mag, 0, np.where(vals > 0, 1, -1))
-        nz = np.flatnonzero(raw)
-        if nz.size:
-            first_x = float(xs[nz[0]])
-            s = raw[nz]
-            switches = np.flatnonzero(s[1:] != s[:-1])
-            signs = [Sign(int(s[0]))] + [Sign(int(s[k + 1])) for k in switches]
-            scalar_fn = lambda x: float(fn(np.array([x]))[0][0])
-            zeros = [
-                _log_bisect(
-                    scalar_fn,
-                    float(xs[nz[k]]),
-                    float(xs[nz[k + 1]]),
-                    float(vals[nz[k]]),
-                    rtol,
-                )
-                for k in switches
-            ]
+        signs, brackets, _ = _strong_signs(xs, *fn(xs))
+        scalar_fn = lambda x: float(fn(np.array([x]))[0][0])
+        zeros = [_log_bisect(scalar_fn, lo, hi, flo, REFINE_TOL) for lo, hi, flo in brackets]
     if settled is not Sign.ZERO and (not signs or signs[-1] is not settled):
         signs.append(settled)
-    return signs, zeros, first_x
+    return signs, zeros
 
 
-def _tail_signs(
-    p: DPolynomial, x_start: float, rtol: float, zero_eps: float
-) -> tuple[list[Sign], list[float], float | None]:
+def _tail_signs(p: DPolynomial, x_start: float) -> tuple[list[Sign], list[float]]:
     """Sign pattern and zeros of the polynomial on (x_start, infinity).
 
     The raw values decay below any relative threshold, so the tail is
@@ -394,14 +402,14 @@ def _tail_signs(
         (a, al) for a, al in zip(p.coefficients, p.basis.decays) if a != 0.0
     ]
     if not active:
-        return [], [], None
+        return [], []
     margin = 2.0 * len(active)
 
     if p.basis.kind == F_KIND:
         c0, beta = active[-1]
         rest = [(a, al - beta) for a, al in active[:-1]]
         if not rest:
-            return [Sign.of(c0)], [], None
+            return [Sign.of(c0)], []
         bound = max(
             x_start,
             max(math.log(max(margin * abs(a) / abs(c0), 1.0)) / rho for a, rho in rest),
@@ -416,7 +424,7 @@ def _tail_signs(
                 mag += np.abs(term)
             return total, mag
 
-        return _scan_tail_fn(tail_fn, x_start, bound, Sign.of(c0), rtol, zero_eps)
+        return _scan_tail_fn(tail_fn, x_start, bound, Sign.of(c0))
 
     # Integrated kind: scan q(x) = x^2 * p(x) = a0 x^2/2 + s_inf - corrections.
     const = [a for a, al in active if al == 0.0]
@@ -430,7 +438,7 @@ def _tail_signs(
         settled = Sign.of(a0)
     else:
         if s_inf == 0.0:
-            return [], [], None
+            return [], []
         bound = max(
             x_start,
             max(
@@ -452,48 +460,28 @@ def _tail_signs(
             mag = mag + np.abs(term)
         return total, mag
 
-    return _scan_tail_fn(tail_fn, x_start, bound, settled, rtol, zero_eps)
+    return _scan_tail_fn(tail_fn, x_start, bound, settled)
 
 
 def _scan_window(
     p: DPolynomial, grid: GridSpec
 ) -> tuple[list[Sign], list[float], float | None]:
-    """One window pass: compressed nonzero sample signs, refined zeros,
-    and the abscissa of the last super-threshold sample."""
+    """One window pass: compressed strong sample signs, refined zeros,
+    and the abscissa of the last nonzero sample."""
     xs = np.linspace(0.0, grid.x_max, grid.n_samples)
     phi = basis_values(p.basis, xs)
     coeffs = np.asarray(p.coefficients)
-    vals = coeffs @ phi
     # Zero threshold relative to the local sum of term magnitudes (the
     # basis functions are non-negative): exponential sums carry genuine
     # sign structure many orders below their global maximum, so a global
     # scale would erase it, while the local scale tracks the actual
-    # cancellation noise floor of the evaluation.
-    mag = np.abs(coeffs) @ phi
-
-    # The x = 0 sample equals the initial-sign quantity (the coefficient
-    # sum, halved for the G kind), so the threshold applies there too: a
-    # boundary zero must not contribute a noise-level leading sign.
-    eps = grid.zero_eps * mag
-    raw = np.where(np.abs(vals) <= eps, 0, np.where(vals > 0, 1, -1)).astype(np.int8)
-
-    nz = np.flatnonzero(raw)
-    if nz.size == 0:
-        return [], [], None
-    s = raw[nz]
-    switches = np.flatnonzero(s[1:] != s[:-1])
-    compressed = [Sign(int(s[0]))] + [Sign(int(s[k + 1])) for k in switches]
-    zeros = [
-        _bisect_zero(
-            p,
-            float(xs[nz[k]]),
-            float(xs[nz[k + 1]]),
-            float(vals[nz[k]]),
-            grid.refine_tol,
-        )
-        for k in switches
-    ]
-    return compressed, zeros, float(xs[nz[-1]])
+    # cancellation noise floor of the evaluation.  The x = 0 sample
+    # equals the initial-sign quantity (the coefficient sum, halved for
+    # the G kind), so the threshold applies there too: a boundary zero
+    # must not contribute a noise-level leading sign.
+    signs, brackets, last_x = _strong_signs(xs, coeffs @ phi, np.abs(coeffs) @ phi)
+    zeros = [_bisect_zero(p, lo, hi, flo, REFINE_TOL) for lo, hi, flo in brackets]
+    return signs, zeros, last_x
 
 
 def sseq_of_dpoly(
@@ -501,71 +489,40 @@ def sseq_of_dpoly(
 ) -> tuple[SignSeq, list[float]]:
     """Reduced sign sequence of a D-polynomial on [0, inf), with zeros.
 
-    Samples on [0, x_max], refines each bracketed strong sign change by
-    bisection, then continues with a rescaled scan of (x_max, inf) out
-    to the bound where the slowest term provably dominates, so the
-    analytic terminal sign closes the sequence consistently.  If the
-    change count exceeds the variation-diminishing bound, or a change
-    cannot be matched to a zero, the scan retries with doubled samples
-    and a tightened zero threshold (sign structure can sit many orders
-    below the local term magnitudes when decays cluster), up to four
-    times, before a NumericalInconsistencyError is raised.
+    One pass samples [0, x_max] and refines each bracketed strong sign
+    change by bisection.  A second pass scans a rescaled form of
+    (x_max, inf) out to the bound where the slowest term provably
+    dominates, so the analytic terminal sign closes the sequence.  There
+    is no retry: by variation diminishing the polynomial has at most
+    len(basis) - 1 sign changes, each at a zero, so a reduced sequence
+    with more changes than that, or with a change not matched by a
+    located zero, raises NumericalInconsistencyError.
     """
     if p.is_zero:
         return EMPTY_PURE, []
     if grid is None:
         grid = GridSpec.for_basis(p.basis)
 
+    compressed, zeros, last_x = _scan_window(p, grid)
+    # Hand the tail scan over at the last super-threshold sample: the
+    # raw values may sink below the window threshold before x_max, and
+    # the rescaled tail form sees through that shadow.
+    x_start = last_x if last_x else grid.x_max / (grid.n_samples - 1)
+    tail_signs, tail_zeros = _tail_signs(p, x_start)
     term = terminal_sign(p)
-    bound = len(p.basis) - 1
-    for attempt in range(5):
-        if attempt:
-            # 1e-14 floor: two orders above the float64 evaluation noise
-            grid = replace(
-                grid,
-                n_samples=2 * grid.n_samples,
-                zero_eps=max(0.1 * grid.zero_eps, 1e-14),
-            )
-        compressed, zeros, last_x = _scan_window(p, grid)
-        # Hand the tail scan over at the last super-threshold sample: the
-        # raw values may sink below the window threshold before x_max,
-        # and the rescaled tail form sees through that shadow.
-        x_start = last_x if last_x else grid.x_max / (grid.n_samples - 1)
-        tail_signs, tail_zeros, tail_first_x = _tail_signs(
-            p, x_start, grid.refine_tol, grid.zero_eps
+    signs = compressed + tail_signs
+    if term is not Sign.ZERO and (not signs or signs[-1] is not term):
+        signs.append(term)
+    sseq = reduce_sseq(SignSeq(tuple(signs) or (term,)))
+    zeros = sorted(zeros + tail_zeros)
+    changes = max(0, len(sseq) - 1)
+    if changes > len(p.basis) - 1 or changes != len(zeros):
+        raise NumericalInconsistencyError(
+            f"sign scan of {len(p.basis)}-term polynomial is inconsistent: "
+            f"{changes} changes vs {len(zeros)} located zeros "
+            f"(window {grid.x_max:g}, {grid.n_samples} samples)"
         )
-        if (
-            compressed
-            and tail_signs
-            and compressed[-1] is not tail_signs[0]
-            and tail_first_x is not None
-        ):
-            # Junction crossing: the two scans disagree across a stretch
-            # both read as zero.  Bracket it if the raw values cooperate,
-            # else settle for the midpoint.
-            flo = eval_dpoly(p, x_start)
-            fhi = eval_dpoly(p, tail_first_x)
-            if flo != 0.0 and fhi != 0.0 and (flo > 0) != (fhi > 0):
-                zeros.append(
-                    _bisect_zero(p, x_start, tail_first_x, flo, grid.refine_tol)
-                )
-            else:
-                zeros.append(0.5 * (x_start + tail_first_x))
-        signs = compressed + tail_signs
-        if term is not Sign.ZERO and (not signs or signs[-1] is not term):
-            signs = signs + [term]
-        if not signs:
-            signs = [term]
-        sseq = reduce_sseq(SignSeq(tuple(signs)))
-        all_zeros = sorted(zeros + tail_zeros)
-        changes = max(0, len(sseq) - 1)
-        if changes <= bound and changes == len(all_zeros):
-            return sseq, all_zeros
-    raise NumericalInconsistencyError(
-        f"sign scan of {len(p.basis)}-term polynomial did not stabilise: "
-        f"{changes} changes vs {len(all_zeros)} located zeros "
-        f"(window {grid.x_max:g}, {grid.n_samples} samples)"
-    )
+    return sseq, zeros
 
 
 def _mp_basis_value(kind: str, u: mp.mpf) -> mp.mpf:

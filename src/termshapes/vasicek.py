@@ -259,9 +259,15 @@ def coefficient_core(lam, theta, kappa, sigma, rho, z):
 def coefficient_parts(
     model: VasicekModel, z
 ) -> tuple[tuple[float, ...], float, tuple[float, ...]]:
-    """Exponential-polynomial coefficients (u per factor, c, w per factor)."""
+    """Exponential-polynomial coefficients (u per factor, c, w per factor).
+
+    Raises ValueError if the state makes a coefficient non-finite."""
     state = as_state(z, model.d)
-    return coefficient_core(model.lam, model.theta, model.kappa, model.sigma, model.rho, state)
+    u, c, w = coefficient_core(model.lam, model.theta, model.kappa, model.sigma, model.rho,
+                               state)
+    if not all(math.isfinite(v) for v in (*u, c, *w)):
+        raise ValueError(f"curve coefficients overflow at state {list(state)}")
+    return u, c, w
 
 
 #: Slot tags in Descartes order (fastest decay first) for each ordering of

@@ -56,25 +56,27 @@ BATCH_SAMPLES = 512
 _CHUNK = 256
 
 
+#: Sampling ranges of a theorem sweep (lambda_1, kappa, sigma from 0, theta
+#: and z) and the share of rows drawn beside the scale-critical boundary.
+LAM1_RANGE = (0.05, 2.0)
+KAPPA_RANGE = (0.1, 3.0)
+SIGMA_MAX = 1.0
+LEVEL_RANGE = (-0.1, 0.15)
+BOUNDARY_FRACTION = 0.2
+
+
 @dataclass(frozen=True)
 class SweepConfig:
-    """Sampling ranges and size of one theorem sweep."""
+    """Regime, correlation class, size and seed of one theorem sweep."""
 
     regime: ScaleRegime
     rho_class: RhoClassOption = "any"
     n_samples: int = 1000
     seed: int = 0
-    lam1_range: tuple[float, float] = (0.05, 2.0)
-    kappa_range: tuple[float, float] = (0.1, 3.0)
-    sigma_max: float = 1.0
-    level_range: tuple[float, float] = (-0.1, 0.15)
-    boundary_fraction: float = 0.2
 
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("n_samples must be positive")
-        if not 0 <= self.boundary_fraction <= 1:
-            raise ValueError("boundary_fraction must lie in [0, 1]")
 
     def to_dict(self) -> dict:
         return {
@@ -82,11 +84,11 @@ class SweepConfig:
             "rho_class": self.rho_class,
             "n_samples": self.n_samples,
             "seed": self.seed,
-            "lam1_range": list(self.lam1_range),
-            "kappa_range": list(self.kappa_range),
-            "sigma_max": self.sigma_max,
-            "level_range": list(self.level_range),
-            "boundary_fraction": self.boundary_fraction,
+            "lam1_range": list(LAM1_RANGE),
+            "kappa_range": list(KAPPA_RANGE),
+            "sigma_max": SIGMA_MAX,
+            "level_range": list(LEVEL_RANGE),
+            "boundary_fraction": BOUNDARY_FRACTION,
         }
 
 
@@ -123,15 +125,15 @@ class SweepReport:
 
 def sample_instances(cfg: SweepConfig, rng: np.random.Generator, n: int) -> dict:
     """Draw n (model, state) instances as parallel arrays."""
-    lam1 = rng.uniform(*cfg.lam1_range, n)
+    lam1 = rng.uniform(*LAM1_RANGE, n)
     ratio_main = {
         ScaleRegime.SEPARATED: lambda: 1.0 + rng.uniform(0.05, 1.5, n),
         ScaleRegime.PROXIMAL: lambda: 1.0 - rng.uniform(0.05, 0.45, n),
         ScaleRegime.CRITICAL: lambda: np.ones(n),
     }[cfg.regime]()
-    if cfg.regime is not ScaleRegime.CRITICAL and cfg.boundary_fraction > 0:
+    if cfg.regime is not ScaleRegime.CRITICAL:
         # Stratum hugging the scale-critical boundary from the regime's side.
-        near = rng.random(n) < cfg.boundary_fraction
+        near = rng.random(n) < BOUNDARY_FRACTION
         offset = rng.uniform(1e-6, 0.05, n)
         side = 1.0 if cfg.regime is ScaleRegime.SEPARATED else -1.0
         ratio_main = np.where(near, 1.0 + side * offset, ratio_main)
@@ -144,14 +146,14 @@ def sample_instances(cfg: SweepConfig, rng: np.random.Generator, n: int) -> dict
     else:
         rho = rng.uniform(-1.0, 1.0, n)
 
-    lo, hi = cfg.level_range
+    lo, hi = LEVEL_RANGE
     return {
         "lam1": lam1,
         "lam2": lam2,
-        "kappa1": rng.uniform(*cfg.kappa_range, n),
-        "kappa2": rng.uniform(*cfg.kappa_range, n),
-        "sigma1": rng.uniform(0.0, cfg.sigma_max, n),
-        "sigma2": rng.uniform(0.0, cfg.sigma_max, n),
+        "kappa1": rng.uniform(*KAPPA_RANGE, n),
+        "kappa2": rng.uniform(*KAPPA_RANGE, n),
+        "sigma1": rng.uniform(0.0, SIGMA_MAX, n),
+        "sigma2": rng.uniform(0.0, SIGMA_MAX, n),
         "rho": rho,
         "theta1": rng.uniform(lo, hi, n),
         "theta2": rng.uniform(lo, hi, n),

@@ -270,6 +270,22 @@ class TestSseqOfDpoly:
         assert seq.is_empty
         assert zeros == []
 
+    def test_inconsistent_scan_raises_after_one_pass(self, monkeypatch):
+        # A tail that settles opposite the window's last sign, with no zero
+        # between them, is reported after one window pass: no rescan on a
+        # finer grid and no zero patched in at the junction.
+        p = interpolate_prescribed_zeros(ExpBasis("F", (3.0, 2.0, 1.0)), [0.5, 2.0])
+        assert sseq_of_dpoly(p)[0] == SignSeq.parse("+-+")
+        passes = []
+        basis_values = dc.basis_values
+        monkeypatch.setattr(
+            dc, "basis_values", lambda basis, x: passes.append(x) or basis_values(basis, x)
+        )
+        monkeypatch.setattr(dc, "_tail_signs", lambda *args: ([Sign.MINUS], []))
+        with pytest.raises(dc.NumericalInconsistencyError, match="2 located zeros"):
+            sseq_of_dpoly(p)
+        assert len(passes) == 1
+
     def test_variation_diminishing_sample(self):
         rng = np.random.default_rng(5)
         for _ in range(300):
@@ -585,3 +601,13 @@ class TestBasisValidation:
     def test_rejects_oversize(self):
         with pytest.raises(ValueError):
             ExpBasis("F", (6.0, 5.0, 4.0, 3.0, 2.0, 1.0))
+
+    @pytest.mark.parametrize("decays", [(math.nan, 1.0), (math.inf, 1.0), (2.0, math.nan)])
+    def test_rejects_non_finite_decay(self, decays):
+        with pytest.raises(ValueError, match="finite"):
+            ExpBasis("F", decays)
+
+    @pytest.mark.parametrize("coeffs", [(math.nan, 1.0), (math.inf, -1.0), (1.0, -math.inf)])
+    def test_rejects_non_finite_coefficient(self, coeffs):
+        with pytest.raises(ValueError, match="finite"):
+            DPolynomial(ExpBasis("F", (2.0, 1.0)), coeffs)
