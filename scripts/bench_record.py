@@ -15,6 +15,17 @@ tier-1 outcome counts and wall time.
 
 Runs go one after the other, so a run never shares the machine with
 another.  Standard library only.
+
+    python3 scripts/bench_record.py --compare ../parent --seeds 1 2 3
+
+compares this checkout with another (the parent commit, say) instead.
+Each workload runs once per seed in both checkouts, and the order
+alternates from seed to seed.  One line per workload and metric gives
+both medians, their ratio, the parent's interquartile range and the
+metric's ``BENCHMARK.json`` bound.  A metric reads ``unresolved`` when
+the parent's IQR exceeds its bound times the parent's median, and
+``worse`` when the median moved the wrong way by more than its bound.
+The exit code is 1 if any metric is worse.  No file is written.
 """
 
 from __future__ import annotations
@@ -23,6 +34,7 @@ import argparse
 import datetime
 import importlib.metadata
 import json
+import math
 import os
 import platform
 import re
@@ -47,10 +59,10 @@ def _spread(values: list[float]) -> dict:
             "values": values}
 
 
-def _run_workload(name: str, seed: int, seconds: int) -> dict:
+def _run_workload(name: str, seed: int, seconds: int, root: Path = ROOT) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", name, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, check=True)
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -87,16 +99,59 @@ def _version(package: str) -> str:
         return "absent"
 
 
+def _compare(parent: Path, seeds: list[int], spec: dict) -> int:
+    """Alternated parent/change runs; prints one line per metric."""
+    worse = False
+    print("workload | metric | parent median | change median | ratio | parent IQR | bound"
+          " | verdict")
+    for entry in spec["workloads"]:
+        name = entry["name"]
+        runs = {"parent": [], "change": []}
+        for k, seed in enumerate(seeds):
+            sides = [("parent", parent), ("change", ROOT)]
+            for side, root in sides[::-1] if k % 2 else sides:
+                runs[side].append(_run_workload(name, seed, spec["run_seconds"], root))
+        for metric in spec["end_to_end"]:
+            before, after = (
+                _spread([r["metrics"][metric["name"]]["value"] for r in runs[side]])
+                for side in ("parent", "change")
+            )
+            ratio = after["median"] / before["median"] if before["median"] else math.inf
+            change = ratio - 1.0 if metric["better"] == "lower" else 1.0 - ratio
+            if before["iqr"] > metric["bound"] * abs(before["median"]):
+                verdict = "unresolved"
+            elif change > metric["bound"]:
+                verdict, worse = "worse", True
+            else:
+                verdict = "within bound"
+            print(f"{name} | {metric['name']} | {before['median']:.6g} | "
+                  f"{after['median']:.6g} | {ratio:.3f} | {before['iqr']:.4g} | "
+                  f"{metric['bound']:g} | {verdict}")
+        shares = {side: sum(r["failed"] for r in rs) / sum(r["attempted"] for r in rs)
+                  for side, rs in runs.items()}
+        correct = {side: all(r["correct"] for r in rs) for side, rs in runs.items()}
+        print(f"{name} | failed share | {shares['parent']:.4%} | {shares['change']:.4%} | | | |"
+              f" correct {correct['parent']} -> {correct['change']}")
+    return 1 if worse else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--label", help="names the output BENCH_<label>.json")
+    mode.add_argument("--compare", type=Path, metavar="PARENT_DIR",
+                      help="compare with the checkout at PARENT_DIR instead")
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     args = parser.parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    if args.compare:
+        if not (args.compare / "bench" / "run.py").is_file():
+            parser.error(f"no bench/run.py under {args.compare}")
+        return _compare(args.compare.resolve(), args.seeds, spec)
     if not re.fullmatch(r"[\w.+-]+", args.label):
         parser.error("label may hold letters, digits, '_', '.', '+' and '-' only")
 
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     workloads = {}
     for entry in spec["workloads"]:

@@ -43,7 +43,7 @@ refused, since no construction with that control is available.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal, Sequence
 
 import numpy as np
@@ -60,6 +60,7 @@ from .descartes import (
     F_KIND,
     G_KIND,
     GridSpec,
+    _floats,
     _stretch_probes,
     basis_values,
     coef_inequality_value,
@@ -144,13 +145,15 @@ class ShapeTarget:
         if self.curve not in ("forward", "yield"):
             raise ValueError("curve must be 'forward' or 'yield'")
         if self.extrema is not None:
-            ext = tuple(float(r) for r in self.extrema)
+            ext = _floats(self.extrema, "prescribed extrema")
             object.__setattr__(self, "extrema", ext)
             if len(ext) != self.shape.changes:
                 raise ValueError(
                     f"shape {self.shape} needs {self.shape.changes} extrema, "
                     f"got {len(ext)}"
                 )
+            if not all(math.isfinite(r) for r in ext):
+                raise ValueError("prescribed extrema must be finite")
             if any(r <= 0 for r in ext):
                 raise ValueError("prescribed extrema must be strictly positive")
             if any(b <= a for a, b in zip(ext, ext[1:])):
@@ -457,18 +460,7 @@ def construct(target: ShapeTarget, base: VasicekModel) -> AttainSolution:
         raise NumericalInfeasibilityError(
             f"key system unexpectedly unsolvable for shape {target.shape}"
         )
-    return AttainSolution(
-        sigma1=solution.sigma1,
-        sigma2=solution.sigma2,
-        rho=solution.rho,
-        z1=solution.z1,
-        z2=solution.z2,
-        dpoly=poly,
-        proof_case=route.case,
-        coefficients=tc,
-        model=solution.model,
-        prescribed_zeros=zeros,
-    )
+    return replace(solution, dpoly=poly, proof_case=route.case, prescribed_zeros=zeros)
 
 
 @dataclass(frozen=True)
@@ -494,22 +486,21 @@ class AttainVerification:
         }
 
 
-def _verification_grid(sol: AttainSolution, base_grid: GridSpec | None) -> GridSpec:
-    """Grid dense enough to resolve the solution's prescribed zeros."""
-    grid = base_grid or GridSpec.for_basis(sol.dpoly.basis)
+def _verification_grid(sol: AttainSolution) -> GridSpec:
+    """The default grid, dense enough to resolve the prescribed zeros."""
+    grid = GridSpec.for_basis(sol.dpoly.basis)
     positive = [z for z in sol.prescribed_zeros if z > 0]
     if not positive:
         return grid
     gaps = [positive[0]] + [b - a for a, b in zip(positive, positive[1:])]
     min_gap = min(gaps)
-    needed = int(4.0 * grid.x_max / min_gap) + 1
-    if needed <= grid.n_samples:
-        return grid
-    if needed > 2**21:
+    spacings = 4.0 * grid.x_max / min_gap
+    if spacings >= 2**21:
         raise NumericalInfeasibilityError(
             f"prescribed zeros too tightly clustered to verify (gap {min_gap:g})"
         )
-    return GridSpec(x_max=grid.x_max, n_samples=needed)
+    needed = int(spacings) + 1
+    return grid if needed <= grid.n_samples else replace(grid, n_samples=needed)
 
 
 def residuals(sol: AttainSolution) -> float:
@@ -521,15 +512,11 @@ def residuals(sol: AttainSolution) -> float:
     return max(abs(g - t) for g, t in zip(got, want)) / max(1.0, sol.coefficients.scale)
 
 
-def verify_solution(
-    sol: AttainSolution,
-    target: ShapeTarget,
-    grid: GridSpec | None = None,
-) -> AttainVerification:
-    """Classify the constructed curve and re-substitute the solution."""
-    use_grid = _verification_grid(sol, grid)
+def verify_solution(sol: AttainSolution, target: ShapeTarget) -> AttainVerification:
+    """Classify the constructed curve on ``_verification_grid`` and
+    re-substitute the solution."""
     classify = classify_forward if target.curve == "forward" else classify_yield
-    report = classify(sol.model, sol.state, use_grid)
+    report = classify(sol.model, sol.state, _verification_grid(sol))
 
     messages = []
     shape_matched = report.shape == target.shape
@@ -576,10 +563,6 @@ def construct_target(
 ) -> tuple[AttainSolution, AttainVerification]:
     """Convenience wrapper: build the target, construct, and verify."""
     name = shape if isinstance(shape, ShapeName) else shape_from_label(shape)
-    target = ShapeTarget(
-        shape=name,
-        curve=curve,
-        extrema=tuple(extrema) if extrema is not None else None,
-    )
+    target = ShapeTarget(shape=name, curve=curve, extrema=extrema)
     sol = construct(target, base)
     return sol, verify_solution(sol, target)

@@ -16,8 +16,11 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
+import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +91,13 @@ def _resolve_state(model: VasicekModel, z_arg: str | None, embedded) -> tuple:
     return state
 
 
+def _check_horizon(model: VasicekModel, value: float | None, flag: str) -> None:
+    """A curve length or a time step must be non-negative, and finite
+    times the model's fastest rate 2*lambda."""
+    if value is not None and not (value >= 0 and math.isfinite(2.0 * model.lam[-1] * value)):
+        raise _CliError(f"{flag} must be non-negative, and finite times 2*lambda")
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -110,17 +120,17 @@ def _csv_text(header: list[str], rows) -> str:
 
 
 def _grid_spec(args, model) -> GridSpec | None:
-    if args.x_max is None and args.grid_samples is None:
+    fields = {"x_max": args.x_max, "n_samples": args.grid_samples}
+    fields = {name: value for name, value in fields.items() if value is not None}
+    if not fields:
         return None
-    basis = l_coefficients(model, [0.0] * model.d).basis
-    x_max = args.x_max if args.x_max is not None else 20.0 / basis.min_positive_decay
-    n = args.grid_samples if args.grid_samples is not None else 4096
-    return GridSpec(x_max=x_max, n_samples=n)
+    return replace(GridSpec.for_basis(l_coefficients(model, [0.0] * model.d).basis), **fields)
 
 
 def _cmd_classify(args) -> int:
     model, embedded = _load_model(args.model)
     state = _resolve_state(model, args.z, embedded)
+    _check_horizon(model, args.x_max, "--x-max")
     grid = _grid_spec(args, model)
     fn = classify.classify_forward if args.curve == "forward" else classify.classify_yield
     report = fn(model, state, grid)
@@ -179,11 +189,23 @@ def _cmd_sweep(args) -> int:
 def _parse_axis(spec: str) -> np.ndarray:
     try:
         lo, hi, count = spec.split(":")
-        return np.linspace(float(lo), float(hi), int(count))
+        ends = (float(lo), float(hi))
+        if not all(map(math.isfinite, ends)):
+            raise ValueError
+        return np.linspace(*ends, int(count))
     except ValueError:
         raise _CliError(
-            f"cannot parse grid axis {spec!r}; expected lo:hi:count"
+            f"cannot parse grid axis {spec!r}; expected lo:hi:count with finite ends"
         ) from None
+
+
+def _check_corners(model: VasicekModel, axes: list[np.ndarray]) -> None:
+    """The curve coefficients are affine in the state, so a grid whose
+    corner states have finite coefficients has them everywhere."""
+    ends = [(axis[0], axis[-1]) for axis in axes if axis.size]
+    if len(ends) == len(axes):
+        for corner in itertools.product(*ends):
+            _resolve_state(model, None, list(corner))
 
 
 def _cmd_map(args) -> int:
@@ -192,14 +214,16 @@ def _cmd_map(args) -> int:
     if model.d == 1:
         if len(axes) != 1:
             raise _CliError("one-factor models take a single grid axis")
-        rows = verify.state_space_map(model, _parse_axis(axes[0]))
+        axis = _parse_axis(axes[0])
+        _check_corners(model, [axis])
+        rows = verify.state_space_map(model, axis)
         header = ["z", "forward_shape", "yield_shape"]
     else:
         if len(axes) != 2:
             raise _CliError("two-factor models need two grid axes (comma separated)")
-        rows = verify.state_space_map(
-            model, _parse_axis(axes[0]), _parse_axis(axes[1])
-        )
+        grid = [_parse_axis(axes[0]), _parse_axis(axes[1])]
+        _check_corners(model, grid)
+        rows = verify.state_space_map(model, *grid)
         header = ["z1", "z2", "forward_shape", "yield_shape"]
     if args.format == "json":
         payload = [dict(zip(header, row)) for row in rows]
@@ -212,6 +236,7 @@ def _cmd_map(args) -> int:
 def _cmd_simulate(args) -> int:
     model, embedded = _load_model(args.model)
     state = _resolve_state(model, args.z, embedded)
+    _check_horizon(model, args.t, "--t")
     try:
         shape = shape_from_label(args.shape)
     except ValueError as exc:
@@ -234,6 +259,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_curves(args) -> int:
     model, embedded = _load_model(args.model)
     state = _resolve_state(model, args.z, embedded)
+    _check_horizon(model, args.x_max, "--x-max")
     xs = np.linspace(0.0, args.x_max, args.n)
     f_vals = forward_curve(model, state, xs)
     y_vals = yield_curve(model, state, xs)

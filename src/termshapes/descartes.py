@@ -53,9 +53,22 @@ ZERO_EPS = 1e-12
 REFINE_TOL = 1e-10
 
 MAX_BASIS_SIZE = 5
+#: Smallest positive decay rate.  The G kind weighs each term by
+#: 1/decay^2 at infinity, which overflows below about 7.5e-155.
+MIN_DECAY = 1e-150
 
 F_KIND = "F"
 G_KIND = "G"
+
+
+def _floats(values, name: str) -> tuple[float, ...]:
+    """``values`` as a tuple of floats, or a ValueError naming them."""
+    try:
+        if isinstance(values, str):
+            raise TypeError
+        return tuple(float(v) for v in values)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a list of numbers, got {values!r}") from None
 
 
 class NumericalInconsistencyError(RuntimeError):
@@ -81,12 +94,14 @@ class ExpBasis:
     def __post_init__(self):
         if self.kind not in (F_KIND, G_KIND):
             raise ValueError(f"basis kind must be 'F' or 'G', got {self.kind!r}")
-        object.__setattr__(self, "decays", tuple(float(a) for a in self.decays))
+        object.__setattr__(self, "decays", _floats(self.decays, "decay rates"))
         n = len(self.decays)
         if not 1 <= n <= MAX_BASIS_SIZE:
             raise ValueError(f"basis size must be 1..{MAX_BASIS_SIZE}, got {n}")
         if any(a < 0 for a in self.decays):
             raise ValueError("decay rates must be non-negative")
+        if any(0 < a < MIN_DECAY for a in self.decays):
+            raise ValueError(f"positive decay rates must be at least {MIN_DECAY:g}")
         if not all(math.isfinite(a) for a in self.decays):
             raise ValueError("decay rates must be finite")
         if any(a <= b for a, b in zip(self.decays, self.decays[1:])):
@@ -109,9 +124,7 @@ class DPolynomial:
     coefficients: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "coefficients", tuple(float(a) for a in self.coefficients)
-        )
+        object.__setattr__(self, "coefficients", _floats(self.coefficients, "coefficients"))
         if len(self.coefficients) != len(self.basis):
             raise ValueError("coefficient count must match basis size")
         if not all(math.isfinite(a) for a in self.coefficients):
@@ -143,9 +156,9 @@ class GridSpec:
             raise ValueError("n_samples must be at least 64")
 
     @classmethod
-    def for_basis(cls, basis: ExpBasis, **kwargs) -> "GridSpec":
+    def for_basis(cls, basis: ExpBasis) -> "GridSpec":
         """Default window: 20 e-foldings of the slowest decaying term."""
-        return cls(x_max=20.0 / basis.min_positive_decay, **kwargs)
+        return cls(x_max=20.0 / basis.min_positive_decay)
 
 
 def _g_closed(u):
@@ -168,7 +181,8 @@ def g_kernel_value(u: np.ndarray) -> np.ndarray:
     small = u < _G_SERIES_CUTOFF
     out = np.empty_like(u)
     out[small] = _g_series(u[small])
-    with np.errstate(invalid="ignore"):
+    # u * u may overflow to inf far out, where the value is 0 anyway.
+    with np.errstate(invalid="ignore", over="ignore"):
         out[~small] = _g_closed(u[~small])
     return out
 
@@ -314,10 +328,13 @@ def terminal_sign(p: DPolynomial) -> Sign:
 
 
 def _bisect_zero(p: DPolynomial, lo: float, hi: float, flo: float, tol: float) -> float:
-    """Locate the sign change inside a bracket with opposite-sign ends."""
+    """Locate the sign change inside a bracket with opposite-sign ends, to
+    ``tol`` or to adjacent floats, whichever is wider."""
     value = _sign_evaluator(p)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         fmid = value(mid)
         if fmid == 0.0:
             return mid
@@ -329,9 +346,12 @@ def _bisect_zero(p: DPolynomial, lo: float, hi: float, flo: float, tol: float) -
 
 
 def _log_bisect(fn, lo: float, hi: float, flo: float, rtol: float) -> float:
-    """Bracketed sign change located to relative tolerance in log space."""
+    """Bracketed sign change located to relative tolerance in log space
+    (or until the midpoint leaves the bracket by rounding or overflow)."""
     while hi > lo * (1.0 + rtol):
         mid = math.sqrt(lo * hi)
+        if not lo < mid < hi:
+            break
         fmid = fn(mid)
         if fmid == 0.0:
             return mid
@@ -373,6 +393,11 @@ def _scan_tail_fn(fn, x_start: float, bound: float, settled: Sign):
     ``fn`` returns (values, local magnitude scale); the zero threshold is
     local, as in the window scan.
     """
+    if not math.isfinite(bound):
+        raise NumericalInconsistencyError(
+            f"tail scan past x = {x_start:g} has no finite bound where the slowest "
+            "term settles the sign"
+        )
     signs, zeros = [], []
     if bound > x_start:
         xs = np.geomspace(x_start, bound, _TAIL_SAMPLES)
@@ -594,9 +619,11 @@ def interpolate_prescribed_zeros(
     n = len(basis)
     if n < 2:
         raise ValueError("interpolation needs a basis of at least 2 functions")
-    r = [float(x) for x in r]
+    r = _floats(r, "prescribed zeros")
     if len(r) != n - 1:
         raise ValueError(f"need exactly {n - 1} prescribed zeros, got {len(r)}")
+    if not all(math.isfinite(x) for x in r):
+        raise ValueError("prescribed zeros must be finite")
     if any(x < 0 for x in r):
         raise ValueError("prescribed zeros must be non-negative")
     if any(x2 <= x1 for x1, x2 in zip(r, r[1:])):
@@ -735,17 +762,19 @@ def perturb_coefficients(p: DPolynomial, eps: float) -> DPolynomial:
     )
 
 
-def perturbation_delta(p: DPolynomial, grid: GridSpec | None = None) -> float:
+def perturbation_delta(p: DPolynomial) -> float:
     """Perturbation radius below which the sign sequence cannot change.
 
     Probes are the endpoints and midpoints between detected zeros, where
-    the polynomial alternates in sign; the radius is
-    min_i |p(r_i)| / sum_j max_i |phi_j(r_i)|.  Requires an extremal
+    the polynomial alternates in sign.  Shifting every coefficient by at
+    most eps moves p(r) by at most eps * sum_j phi_j(r), so the radius is
+    min_i |p(r_i)| / sum_j phi_j(r_i), never below the uniform bound
+    min_i |p(r_i)| / sum_j max_i phi_j(r_i).  Requires an extremal
     polynomial with no zero at the boundary.
     """
     if p.is_zero:
         raise ValueError("polynomial must not vanish identically")
-    _, zeros = sseq_of_dpoly(p, grid)
+    _, zeros = sseq_of_dpoly(p)
     return _stability_radius(p, zeros)
 
 
@@ -762,11 +791,23 @@ def _stretch_probes(zeros: Sequence[float], tail_decay: float) -> list[float]:
 
 
 def _stability_radius(p: DPolynomial, zeros: Sequence[float]) -> float:
-    """``perturbation_delta`` from zeros already located by ``sseq_of_dpoly``."""
+    """``perturbation_delta`` from zeros already located by ``sseq_of_dpoly``.
+
+    Each probe's ratio is unchanged by a common factor, so the F kind
+    takes its terms times exp(beta r), beta the slowest decay: the
+    slowest term is then 1 and a probe far past the last zero does not
+    underflow to a spurious zero.
+    """
     probes = _stretch_probes(zeros, p.basis.min_positive_decay)
-    values = [eval_dpoly(p, r) for r in probes]
-    if any(v == 0.0 for v in values):
-        raise ValueError("probe point landed on a zero; polynomial not extremal?")
-    phi = np.abs(basis_values(p.basis, probes))
-    denom = float(np.sum(np.max(phi, axis=1)))
-    return min(abs(v) for v in values) / denom
+    decays = p.basis.decays
+    if p.basis.kind == F_KIND:
+        phi = [[math.exp(-(alpha - decays[-1]) * r) for alpha in decays] for r in probes]
+    else:
+        phi = [[eval_basis_fn(G_KIND, alpha, r) for alpha in decays] for r in probes]
+    radius = math.inf
+    for row in phi:
+        value = sum(a * f for a, f in zip(p.coefficients, row) if a != 0.0)
+        if value == 0.0:
+            raise ValueError("probe point landed on a zero; polynomial not extremal?")
+        radius = min(radius, abs(value) / sum(row))
+    return radius

@@ -55,7 +55,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .descartes import DPolynomial, ExpBasis, F_KIND, G_KIND, g_kernel_value
+from .descartes import DPolynomial, ExpBasis, F_KIND, G_KIND, MIN_DECAY, g_kernel_value
 
 #: Relative tolerance for classifying a model as scale-critical.
 CRITICAL_RTOL = 1e-12
@@ -112,6 +112,8 @@ class VasicekModel:
             raise ValueError("mean-reversion speeds must be strictly increasing")
         if not math.isfinite(2.0 * self.lam[-1]):  # also bounds lam_1 + lam_2
             raise ValueError("mean-reversion speeds overflow: 2*lambda must be finite")
+        if self.lam[0] < MIN_DECAY:
+            raise ValueError(f"mean-reversion speeds must be at least {MIN_DECAY:g}")
         if any(k <= 0 for k in self.kappa):
             raise ValueError("loadings kappa must be strictly positive")
         if any(s < 0 for s in self.sigma):

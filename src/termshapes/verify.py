@@ -54,6 +54,10 @@ RhoClassOption = Literal["nonnegative", "negative", "any"]
 BATCH_SAMPLES = 512
 #: Rows per float32 pass: a (rows, 512) array is 512 KB at 256 rows.
 _CHUNK = 256
+#: Bound on a row's coefficient magnitude sum and on the square of its
+#: largest scaled decay (G divides by u^2): the float32 sums and samples
+#: then stay finite, with room for rounding.
+_FLOAT32_SAFE = 0.5 * float(np.finfo(np.float32).max)
 
 
 #: Sampling ranges of a theorem sweep (lambda_1, kappa, sigma from 0, theta
@@ -108,8 +112,9 @@ class SweepReport:
     def passed(self) -> bool:
         return not self.violations and not self.head_failures
 
-    def to_dict(self, include_runtime: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        """The deterministic fields; ``runtime_seconds`` is left out."""
+        return {
             "config": self.config.to_dict(),
             "samples": self.samples,
             "forward_histogram": dict(sorted(self.forward_histogram.items())),
@@ -118,9 +123,6 @@ class SweepReport:
             "head_failures": self.head_failures,
             "passed": self.passed,
         }
-        if include_runtime:
-            out["runtime_seconds"] = self.runtime_seconds
-        return out
 
 
 def sample_instances(cfg: SweepConfig, rng: np.random.Generator, n: int) -> dict:
@@ -276,7 +278,6 @@ def _basis_samples(d: np.ndarray, t: np.ndarray, curves: tuple[str, ...]) -> dic
 def _scan_curves(
     decays: np.ndarray,
     coeffs: np.ndarray,
-    m: int = BATCH_SAMPLES,
     curves: tuple[str, ...] = ("forward", "yield"),
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """(first sign, change count) per row for the requested curves.
@@ -290,7 +291,7 @@ def _scan_curves(
     other slots are then made once per call too.  G's series branch
     (u < 0.25) only reaches the first few columns, since u >= 20 t.
     Rows go through in float32 chunks of ``_CHUNK``, small enough that
-    the few live (chunk, m) arrays stay near cache size.  The x = 0
+    the few live (chunk, ``BATCH_SAMPLES``) arrays stay near cache size.  The x = 0
     column is exact (coefficient sum, halved for the yield kind).  Tails
     close with the analytic terminal signs.
 
@@ -301,10 +302,16 @@ def _scan_curves(
     x = 0 the bound reads half * abs_sum.  Only rows with a sample
     inside that bound build vm, slot by slot as v is built, and go
     through ``_first_changes_of_values``.  No float32 sum is reordered,
-    so every row's result is the one the exact floor gives.
+    so every row's result is the one the exact floor gives.  A row whose
+    magnitude sum, or squared largest scaled decay, is not below
+    ``_FLOAT32_SAFE`` raises ValueError.
     """
     n, k = coeffs.shape
-    d = (decays[..., 1:] * (20.0 / decays[..., :1])).astype(np.float32)  # slots 1..k-1
+    m = BATCH_SAMPLES
+    d = decays[..., 1:] * (20.0 / decays[..., :1])  # slots 1..k-1
+    if not np.all(d < np.sqrt(_FLOAT32_SAFE)):
+        raise ValueError("decay rates spread too widely for the float32 batch scan")
+    d = d.astype(np.float32)
     t = np.linspace(0.0, 1.0, m)[1:].astype(np.float32)
     slow = _basis_samples(np.float32(20.0), t, curves)
     shared = [slow] + [_basis_samples(dj, t, curves) for dj in d] if d.ndim == 1 else None
@@ -313,8 +320,11 @@ def _scan_curves(
     ceiling = {
         c: np.float32(2e-6) * np.concatenate((np.float32([half[c]]), slow[c])) for c in curves
     }
+    abs_sum = np.sum(np.abs(coeffs), axis=1)
+    if not np.all(abs_sum < _FLOAT32_SAFE):
+        raise ValueError("curve coefficients exceed the float32 range of the batch scan")
     coef_sum = np.sum(coeffs, axis=1).astype(np.float32)
-    abs_sum = np.sum(np.abs(coeffs), axis=1).astype(np.float32)
+    abs_sum = abs_sum.astype(np.float32)
     out = {
         c: (np.zeros(n, dtype=np.int8), np.zeros(n, dtype=np.int32), np.zeros(n, dtype=np.int8))
         for c in curves
@@ -367,34 +377,23 @@ def _scan_curves(
 
 
 def _shape_codes(first: np.ndarray, changes: np.ndarray) -> np.ndarray:
-    """Encode (first sign, change count) as small integers.
-
-    0 is flat; named shapes get 1 + 2*changes + (first < 0); anything
-    beyond the named list maps to 64 + the same packing.
-    """
-    named = (changes < 4) | ((changes == 4) & (first > 0))
-    packed = 2 * changes + (first < 0)
-    return np.where(first == 0, 0, np.where(named, 1 + packed, 64 + packed)).astype(
-        np.int64
-    )
+    """Encode (first sign, change count) as 1 + 2*changes + (first < 0),
+    and 0 for flat; ``decode_shape`` names them through ``shape_of``."""
+    return np.where(first == 0, 0, 1 + 2 * changes + (first < 0)).astype(np.int64)
 
 
 def shape_code(shape: ShapeName) -> int:
-    """Code a named shape the way the batch scan does."""
-    if shape.label == "flat":
+    """Code a shape the way the batch scan does."""
+    if shape.first is None:
         return 0
-    if shape.label == "other":
-        return 64 + 2 * shape.changes + (shape.first is Sign.MINUS)
     return 1 + 2 * shape.changes + (shape.first is Sign.MINUS)
 
 
 def decode_shape(code: int) -> ShapeName:
     if code == 0:
         return signseq.FLAT
-    packed = code - (64 if code >= 64 else 1)
-    first = Sign.MINUS if packed % 2 else Sign.PLUS
-    changes = packed // 2
-    return shape_of(SignSeq.pure(first, changes))
+    changes, minus = divmod(code - 1, 2)
+    return shape_of(SignSeq.pure(Sign.MINUS if minus else Sign.PLUS, changes))
 
 
 def sweep_theorem(cfg: SweepConfig) -> SweepReport:
@@ -543,8 +542,8 @@ def state_space_map(
         a, b = np.meshgrid(z1_grid, z2_grid, indexing="ij")
         states = np.stack([a.ravel(), b.ravel()], axis=1)
 
-    fwd = _fixed_model_codes(model, states, "forward")
-    yld = _fixed_model_codes(model, states, "yield")
+    scans = _scan_curves(*_fixed_model_slots(model, states))
+    fwd, yld = (_shape_codes(*scans[curve]) for curve in ("forward", "yield"))
     label = {int(c): str(decode_shape(int(c))) for c in np.union1d(fwd, yld)}
     return [
         (*z, label[f], label[y])

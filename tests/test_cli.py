@@ -307,3 +307,30 @@ class TestModelOverflow:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "overflow" in err and "Traceback" not in err
+
+
+class TestOutOfRangeArguments:
+    # Each argument once ended in numpy warnings (or a traceback) instead
+    # of an error line.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["curves", "--x-max=-1e308"], 2),
+            (["curves", "--x-max=inf"], 2),
+            (["classify", "--x-max=nan"], 2),
+            (["classify", "--x-max=1e308"], 2),
+            (["simulate", "--shape=HD", "--paths=5", "--t=nan"], 2),
+            (["simulate", "--shape=HD", "--paths=5", "--z=1e40,0"], 2),
+            (["map", "--grid=nan:0.1:3,0:0.1:3"], 2),
+            (["map", "--grid=0:1e300:3,0:0.1:3"], 2),
+            (["attain", "--shape=HD", "--extrema=5e-324,2"], 3),
+        ],
+    )
+    def test_exits_with_error_line(self, tmp_path, capsys, argv, code):
+        doc = {"d": 2, "lambda": [1.0, 3.0], "theta": [0.01, 0.02], "kappa": [1.0, 0.8],
+               "kappa0": 0.005, "sigma": [0.3, 0.5], "rho": -0.2, "z": [0.02, -0.01]}
+        path = write_model(tmp_path, doc)
+        assert cli.main([argv[0], "--model", path, *argv[1:]]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -286,6 +286,21 @@ class TestSseqOfDpoly:
             sseq_of_dpoly(p)
         assert len(passes) == 1
 
+    def test_slow_decays_refine_to_adjacent_floats(self):
+        # Floats near the zero at x ~ 4.6e11 lie further apart than
+        # REFINE_TOL; bisection once looped there forever.
+        p = DPolynomial(ExpBasis("F", (3e-12, 2e-12, 1e-12)), (1.0, -3.0, 1.5))
+        seq, zeros = sseq_of_dpoly(p)
+        assert str(seq) == "-+" and len(zeros) == 1
+        assert p(zeros[0] * (1 - 1e-9)) < 0 < p(zeros[0] * (1 + 1e-9))
+
+    def test_tail_without_finite_bound_raises(self):
+        # A subnormal slowest coefficient puts the point where it settles
+        # the sign past the float range; the tail scan once looped forever.
+        p = DPolynomial(ExpBasis("F", (4.0, 3.0, 2.0, 1.0)), (0.5, 0.0, -0.5, 2.2250738585e-313))
+        with pytest.raises(dc.NumericalInconsistencyError, match="no finite bound"):
+            sseq_of_dpoly(p)
+
     def test_variation_diminishing_sample(self):
         rng = np.random.default_rng(5)
         for _ in range(300):
@@ -572,6 +587,23 @@ class TestPerturbation:
                 seq, _ = sseq_of_dpoly(perturb_coefficients(p, eps))
                 assert ss.equivalent(base_seq, seq)
 
+    def test_delta_past_an_underflowing_last_zero(self):
+        # Near-equal decays put the only zero at x ~ 1442, where every
+        # exp(-d x) is 0.0; the probe past it must not read as a zero.
+        basis = ExpBasis("F", (2.7530005151890404, 2.7527252977027676, 2.7524500802164944))
+        p = DPolynomial(basis, (-1.3608400442063895, 0.1798306528388374, 0.4943659501689602))
+        base_seq, zeros = sseq_of_dpoly(p)
+        assert zeros == [pytest.approx(1442.0778, rel=1e-6)]
+        delta = perturbation_delta(p)
+        assert 0 < delta < math.inf
+        for eps in (0.5 * delta, 0.99 * delta):
+            assert ss.equivalent(base_seq, sseq_of_dpoly(perturb_coefficients(p, eps))[0])
+
+    def test_delta_rejects_boundary_zero(self):
+        p = DPolynomial(ExpBasis("F", (2.0, 1.0)), (1.0, -1.0))
+        with pytest.raises(ValueError, match="probe point landed on a zero"):
+            perturbation_delta(p)
+
 
 class TestGridSpec:
     def test_default_window_tracks_slowest_decay(self):
@@ -611,3 +643,21 @@ class TestBasisValidation:
     def test_rejects_non_finite_coefficient(self, coeffs):
         with pytest.raises(ValueError, match="finite"):
             DPolynomial(ExpBasis("F", (2.0, 1.0)), coeffs)
+
+    def test_rejects_decay_below_min(self):
+        with pytest.raises(ValueError, match="at least"):
+            ExpBasis("G", (1.0, 1e-160))
+
+    @pytest.mark.parametrize("decays", [(None,), ([1.0],), 5, "21"])
+    def test_rejects_non_numeric_decays(self, decays):
+        with pytest.raises(ValueError, match="decay rates must be a list of numbers"):
+            ExpBasis("F", decays)
+
+    def test_rejects_non_numeric_coefficient(self):
+        with pytest.raises(ValueError, match="coefficients must be a list of numbers"):
+            DPolynomial(ExpBasis("F", (2.0, 1.0)), (1.0, None))
+
+    @pytest.mark.parametrize("zeros", [(math.nan,), (math.inf,), (-math.inf,)])
+    def test_interpolation_rejects_non_finite_zeros(self, zeros):
+        with pytest.raises(ValueError, match="prescribed zeros must be finite"):
+            interpolate_prescribed_zeros(ExpBasis("F", (2.0, 1.0)), zeros)

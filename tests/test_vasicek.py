@@ -23,6 +23,10 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             two_factor(lam=(1.7, 0.5))
 
+    def test_requires_speeds_above_min_decay(self):
+        with pytest.raises(ValueError, match="at least"):
+            two_factor(lam=(1e-200, 1.0))
+
     def test_requires_positive_loadings(self):
         with pytest.raises(ValueError):
             two_factor(kappa=(0.0, 1.0))
