@@ -4,14 +4,16 @@
     python3 scripts/bench_record.py --label 2ad70d1 --seeds 1 2 3
 
 Runs every workload that ``BENCHMARK.json`` lists, once per seed,
-through ``bench/run.py --trace 0`` at the file's run length, then the
+through ``bench/run.py --trace 0`` at the file's run length, and once
+more, on the first seed, through ``bench/run.py --trace 1``; then the
 acceptance criteria (``pytest tests/test_acceptance.py -s``) and the
 tier-1 suite (``pytest -q --continue-on-collection-errors``), and writes
 ``BENCH_<label>.json`` at the root of this checkout.  The file holds the
 machine (core count, Python, numpy, mpmath), each end-to-end metric's
 median, interquartile range, run count and per-seed values, the share
-of failed operations, each criterion's time against its budget, and the
-tier-1 outcome counts and wall time.
+of failed operations, the traced run's per-layer metrics, each
+criterion's time against its budget, and the tier-1 outcome counts and
+wall time.
 
 Runs go one after the other, so a run never shares the machine with
 another.  Standard library only.
@@ -59,9 +61,10 @@ def _spread(values: list[float]) -> dict:
             "values": values}
 
 
-def _run_workload(name: str, seed: int, seconds: int, root: Path = ROOT) -> dict:
+def _run_workload(name: str, seed: int, seconds: int, root: Path = ROOT,
+                  trace: int = 0) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", name, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -160,6 +163,7 @@ def main(argv=None) -> int:
         for seed in args.seeds:
             runs.append(_run_workload(name, seed, seconds))
             sys.stderr.write(f"{name} seed {seed}: {json.dumps(runs[-1]['metrics'])}\n")
+        traced = _run_workload(name, args.seeds[0], seconds, trace=1)
         workloads[name] = {
             "correct": all(r["correct"] for r in runs),
             "failed_share": sum(r["failed"] for r in runs) / sum(r["attempted"] for r in runs),
@@ -168,6 +172,8 @@ def main(argv=None) -> int:
                             **_spread([r["metrics"][m["name"]]["value"] for r in runs])}
                 for m in spec["end_to_end"]
             },
+            "per_layer_seed": args.seeds[0],
+            "per_layer": traced["metrics"],
         }
     commit = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
                             capture_output=True, text=True).stdout.strip()

@@ -24,7 +24,11 @@ and that the careful path (``descartes.sseq_of_dpoly``) does on
   on 4,000 seeded random sums, 4,000 near-equal-decay sums, and 2,000
   interpolants each with clustered and with far-out prescribed zeros.
 
-An exception is digested as its type and message.  The package is
+An exception is digested as its type and message.  Each careful stream
+also gets a ``classes`` line, a hash over its outcome classes only: the
+sign sequence and zero count of each scan or report, or the exception
+type.  A change confined to noise-level digits (zero locations,
+residuals, radii) leaves those lines identical.  The package is
 imported from this checkout's ``src/``.  It takes about a minute.
 """
 
@@ -76,17 +80,46 @@ def _digest(arr: np.ndarray) -> str:
     return hashlib.sha256(f"{arr.dtype}{arr.shape}".encode() + arr.tobytes()).hexdigest()
 
 
-def _outcome(fn) -> bytes:
+def _outcome(fn, outcome_class) -> tuple[bytes, bytes]:
+    """The full outcome of ``fn()`` and its class: ``outcome_class`` of
+    the value, or the type of the exception raised."""
     try:
-        text = repr(fn())
+        value = fn()
     except (ValueError, RuntimeError) as exc:
-        text = f"{type(exc).__name__}: {exc}"
-    return (text + "\n").encode()
+        text, cls = f"{type(exc).__name__}: {exc}", type(exc).__name__
+    else:
+        text, cls = repr(value), repr(outcome_class(value))
+    return (text + "\n").encode(), (cls + "\n").encode()
+
+
+class _Stream:
+    """Running sha256 of a stream's outcomes and of their classes."""
+
+    def __init__(self, outcome_class):
+        self.outcome_class = outcome_class
+        self.full, self.classes = hashlib.sha256(), hashlib.sha256()
+
+    def update(self, fn) -> None:
+        text, cls = _outcome(fn, self.outcome_class)
+        self.full.update(text)
+        self.classes.update(cls)
+
+    def print(self, label: str) -> None:
+        print(f"{self.full.hexdigest()} {label}")
+        print(f"{self.classes.hexdigest()} {label} classes")
+
+
+def _report_class(report: dict) -> tuple[str, int]:
+    return report["derivative_sseq"], len(report["extrema"])
 
 
 def _scan(p: descartes.DPolynomial):
     seq, zeros = descartes.sseq_of_dpoly(p)
     return str(seq), zeros
+
+
+def _scan_class(scan) -> tuple[str, int]:
+    return scan[0], len(scan[1])
 
 
 def _family_decays(rng: np.random.Generator) -> tuple[float, ...]:
@@ -147,17 +180,19 @@ def main() -> int:
         rows = [verify.instance_model(inst, i) for i in range(CAREFUL_ROWS)]
         for curve, fn in (("forward", classify.classify_forward),
                           ("yield", classify.classify_yield)):
-            h = hashlib.sha256()
+            reports = _Stream(_report_class)
             for model, z in rows:
-                h.update(_outcome(lambda: fn(model, z).to_dict()))
-            print(f"{h.hexdigest()} careful {regime}/{rho_class}/{seed} {curve} reports")
+                reports.update(lambda: fn(model, z).to_dict())
+            reports.print(f"careful {regime}/{rho_class}/{seed} {curve} reports")
     for name, polys in _sum_families().items():
-        scans, deltas = hashlib.sha256(), hashlib.sha256()
+        # A radius has no class beyond being returned: its scan's classes
+        # are on the sseq_of_dpoly line.
+        scans, deltas = _Stream(_scan_class), _Stream(lambda delta: "returned")
         for p in polys:
-            scans.update(_outcome(lambda: _scan(p)))
-            deltas.update(_outcome(lambda: descartes.perturbation_delta(p)))
-        print(f"{scans.hexdigest()} careful {name} sums sseq_of_dpoly")
-        print(f"{deltas.hexdigest()} careful {name} sums perturbation_delta")
+            scans.update(lambda: _scan(p))
+            deltas.update(lambda: descartes.perturbation_delta(p))
+        scans.print(f"careful {name} sums sseq_of_dpoly")
+        deltas.print(f"careful {name} sums perturbation_delta")
     return 0
 
 

@@ -46,8 +46,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import Literal, Sequence
 
-import numpy as np
-
 from .classify import (
     ShapeReport,
     admissible_shapes,
@@ -60,11 +58,10 @@ from .descartes import (
     F_KIND,
     G_KIND,
     GridSpec,
+    MAX_GRID_SAMPLES,
     _floats,
-    _stretch_probes,
-    basis_values,
+    _stability_radius,
     coef_inequality_value,
-    eval_dpoly,
     interpolate_prescribed_zeros,
 )
 from .signseq import ShapeName, shape_from_label
@@ -332,26 +329,23 @@ def _pad(
     )
 
 
-def _slowest_slot_epsilon(
-    poly: DPolynomial, zeros: tuple[float, ...], lam1: float
-) -> float:
-    """Tiny magnitude for an extra slowest-decay coefficient that cannot
-    disturb the realised sign sequence.
+def _slowest_slot_epsilon(padded: DPolynomial, zeros: tuple[float, ...]) -> float:
+    """Tiny magnitude for the slowest-decay coefficient of ``padded``, the
+    interpolant with a zero coefficient appended on the slowest slot lam1,
+    that cannot disturb the realised sign sequence.
 
-    One probe per sign stretch of the interpolant; any coefficient
-    perturbation below min |p(probe)| / (sum of basis suprema + 1) keeps
-    every probe on its side, so the stretch pattern survives.  The
-    result is clamped far above float reconstruction noise; failure to
-    fit between the two scales means the zeros are too collapsed to
-    realise the shape stably.
+    It is half the stability radius (``descartes._stability_radius``):
+    a shift of every coefficient by less than that keeps each sign
+    stretch's probe on its side.  It is capped at 1e-9 of the largest
+    coefficient, and must stay above 1e-12, far above float
+    reconstruction noise; otherwise, or if a probe lands on an exact
+    zero, the zeros are too collapsed to realise the shape stably.
     """
-    probes = _stretch_probes(zeros, lam1)
-    values = [abs(eval_dpoly(poly, r)) for r in probes]
-    denom = 1.0 + float(
-        np.sum(np.max(np.abs(basis_values(poly.basis, probes)), axis=1))
-    )
-    radius = min(values) / denom
-    eps = min(1e-9 * max(abs(a) for a in poly.coefficients), 0.5 * radius)
+    try:
+        radius = _stability_radius(padded, zeros)
+    except ValueError:  # a probe landed on an exact zero
+        radius = 0.0
+    eps = min(1e-9 * max(abs(a) for a in padded.coefficients), 0.5 * radius)
     if eps < 1e-12:
         raise NumericalInfeasibilityError(
             "prescribed zeros too collapsed to pad the slowest slot safely"
@@ -439,11 +433,10 @@ def construct(target: ShapeTarget, base: VasicekModel) -> AttainSolution:
 
     tags = route.tags
     if route.epsilon_slowest:
-        eps = _slowest_slot_epsilon(poly, zeros, l1)
         tags = (*tags, "l1eps")
-        poly = DPolynomial(
-            ExpBasis(kind, (*basis.decays, l1)), (*poly.coefficients, -eps)
-        )
+        padded = DPolynomial(ExpBasis(kind, (*basis.decays, l1)), (*poly.coefficients, 0.0))
+        eps = _slowest_slot_epsilon(padded, zeros)
+        poly = replace(padded, coefficients=(*poly.coefficients, -eps))
 
     # The overall scale of the realising polynomial is free (curve shapes
     # are scale-invariant), so pick it large enough that every
@@ -495,7 +488,7 @@ def _verification_grid(sol: AttainSolution) -> GridSpec:
     gaps = [positive[0]] + [b - a for a, b in zip(positive, positive[1:])]
     min_gap = min(gaps)
     spacings = 4.0 * grid.x_max / min_gap
-    if spacings >= 2**21:
+    if spacings >= MAX_GRID_SAMPLES:
         raise NumericalInfeasibilityError(
             f"prescribed zeros too tightly clustered to verify (gap {min_gap:g})"
         )

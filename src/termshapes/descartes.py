@@ -53,6 +53,9 @@ ZERO_EPS = 1e-12
 REFINE_TOL = 1e-10
 
 MAX_BASIS_SIZE = 5
+#: Most samples a window scan may take: 2^21 samples of a 5-term basis
+#: already hold about 80 MB of basis values.
+MAX_GRID_SAMPLES = 2**21
 #: Smallest positive decay rate.  The G kind weighs each term by
 #: 1/decay^2 at infinity, which overflows below about 7.5e-155.
 MIN_DECAY = 1e-150
@@ -142,18 +145,24 @@ class DPolynomial:
 class GridSpec:
     """Window and sample count of the sign scan's one window pass.
 
-    ``sseq_of_dpoly`` never refines the grid or retries; its zero
-    threshold and bisection tolerance are ``ZERO_EPS`` and ``REFINE_TOL``.
+    ``x_max`` must be positive and finite, and ``n_samples`` an integer
+    from 64 to ``MAX_GRID_SAMPLES``.  ``sseq_of_dpoly`` never refines the
+    grid or retries; its zero threshold and bisection tolerance are
+    ``ZERO_EPS`` and ``REFINE_TOL``.
     """
 
     x_max: float
     n_samples: int = 4096
 
     def __post_init__(self):
-        if self.x_max <= 0:
-            raise ValueError("grid parameters must be positive")
-        if self.n_samples < 64:
-            raise ValueError("n_samples must be at least 64")
+        if not (self.x_max > 0 and math.isfinite(self.x_max)):
+            raise ValueError(f"x_max must be positive and finite, got {self.x_max!r}")
+        if not isinstance(self.n_samples, (int, np.integer)):
+            raise ValueError(f"n_samples must be an integer, got {self.n_samples!r}")
+        if not 64 <= self.n_samples <= MAX_GRID_SAMPLES:
+            raise ValueError(
+                f"n_samples must be from 64 to {MAX_GRID_SAMPLES}, got {self.n_samples}"
+            )
 
     @classmethod
     def for_basis(cls, basis: ExpBasis) -> "GridSpec":
@@ -187,21 +196,33 @@ def g_kernel_value(u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _g_scalar(u: float) -> float:
+    """g(u) for one float, in ``math``: the series below the cutoff, else
+    the closed form."""
+    if u < _G_SERIES_CUTOFF:
+        return _g_series(u)
+    return (-math.expm1(-u) - u * math.exp(-u)) / (u * u)
+
+
+#: Each kind's basis function of one float u = alpha * x, in ``math``.
+_SCALAR_BASIS = {F_KIND: lambda u: math.exp(-u), G_KIND: _g_scalar}
+
+
 def eval_basis_fn(kind: str, alpha: float, x):
     """Evaluate one basis function at x (scalar or array), x >= 0.
 
     Kind 'F' is exp(-alpha x).  Kind 'G' is the integrated kernel
     x^-2 * integral_0^x y exp(-alpha y) dy, evaluated in closed form for
     alpha*x >= 1e-4 and by series below that; the value at u = 0 is 1/2.
+    A scalar x is evaluated in ``math``, an array x in numpy.
     """
-    if kind == F_KIND:
-        return np.exp(-alpha * np.asarray(x)) if np.ndim(x) else math.exp(-alpha * x)
-    if kind != G_KIND:
+    if kind not in _SCALAR_BASIS:
         raise ValueError(f"unknown basis kind {kind!r}")
-    if np.ndim(x):
-        return g_kernel_value(alpha * np.asarray(x, dtype=float))
-    u = alpha * x
-    return _g_series(u) if u < _G_SERIES_CUTOFF else float(_g_closed(u))
+    if not np.ndim(x):
+        return _SCALAR_BASIS[kind](alpha * x)
+    if kind == F_KIND:
+        return np.exp(-alpha * np.asarray(x))
+    return g_kernel_value(alpha * np.asarray(x, dtype=float))
 
 
 def basis_values(basis: ExpBasis, x) -> np.ndarray:
@@ -233,61 +254,24 @@ def det_system(basis: ExpBasis, xs: Sequence[float]) -> float:
 
 
 def eval_dpoly(p: DPolynomial, x):
-    """Value of the D-polynomial at x (scalar or array)."""
+    """Value of the D-polynomial at x: a scalar x in ``math``
+    (``_scalar_dpoly``), an array x in numpy (``basis_values``)."""
     if np.ndim(x):
         return np.asarray(p.coefficients) @ basis_values(p.basis, x)
-    return float(
-        sum(
-            a * eval_basis_fn(p.basis.kind, alpha, x)
-            for a, alpha in zip(p.coefficients, p.basis.decays)
-            if a != 0.0
-        )
-    )
+    return float(_scalar_dpoly(p)(x))
 
 
-def _sign_evaluator(p: DPolynomial):
-    """Float-to-float function with the sign and the exact zeros of the
-    scalar ``eval_dpoly``, cheap enough for bisection.
-
-    The plain kind already evaluates through ``math.exp`` and is used as
-    is.  The integrated kind's closed form goes through numpy's exp and
-    expm1, one numpy call per term, and those differ from libm's in the
-    last bit for a few percent of arguments.  Here it runs on ``math``
-    and tracks the scale it rounds at: the terms, plus the two parts of
-    each closed-form numerator over u^2, whose cancellation amplifies a
-    last-bit difference.  With both exps within an ulp, the two
-    evaluations differ by under 3e-15 of that scale, so a value above
-    1e-13 of it carries the exact evaluation's sign; anything smaller is
-    recomputed exactly.
-    """
+def _scalar_dpoly(p: DPolynomial):
+    """p as a function of one float, in ``math`` over its nonzero terms,
+    built once for callers that evaluate p many times."""
+    basis_fn = _SCALAR_BASIS[p.basis.kind]
     terms = [(a, alpha) for a, alpha in zip(p.coefficients, p.basis.decays) if a != 0.0]
-    if p.basis.kind == F_KIND:
-
-        def value(x: float) -> float:
-            total = 0
-            for a, alpha in terms:
-                total += a * math.exp(-alpha * x)
-            return float(total)
-
-        return value
 
     def value(x: float) -> float:
         total = 0.0
-        scale = 0.0
         for a, alpha in terms:
-            u = alpha * x
-            if u < _G_SERIES_CUTOFF:
-                term = a * _g_series(u)
-            else:
-                e = math.exp(-u)
-                em = math.expm1(-u)
-                term = a * ((-em - u * e) / (u * u))
-                scale += abs(a) * (u * e - em) / (u * u)
-            total += term
-            scale += abs(term)
-        if abs(total) > 1e-13 * scale:
-            return total
-        return eval_dpoly(p, x)
+            total += a * basis_fn(alpha * x)
+        return total
 
     return value
 
@@ -329,8 +313,11 @@ def terminal_sign(p: DPolynomial) -> Sign:
 
 def _bisect_zero(p: DPolynomial, lo: float, hi: float, flo: float, tol: float) -> float:
     """Locate the sign change inside a bracket with opposite-sign ends, to
-    ``tol`` or to adjacent floats, whichever is wider."""
-    value = _sign_evaluator(p)
+    ``tol`` or to adjacent floats, whichever is wider.  Midpoints are
+    evaluated in ``math`` (``_scalar_dpoly``).  The ends are strong samples
+    of the numpy array scan; their ``math`` values carry the same sign
+    wherever the evaluation noise lies below ``ZERO_EPS``."""
+    value = _scalar_dpoly(p)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:

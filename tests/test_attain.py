@@ -20,7 +20,8 @@ from termshapes.attain import (
     solve_key_system,
     verify_solution,
 )
-from termshapes.descartes import perturb_coefficients, perturbation_delta
+from termshapes.descartes import (DPolynomial, ExpBasis, perturb_coefficients,
+                                  perturbation_delta)
 from termshapes.signseq import shape_from_label
 from termshapes.vasicek import VasicekModel
 
@@ -171,6 +172,13 @@ class TestConstruct:
         )
         assert value < 2.0
         assert abs(sol.rho) < 1.0
+
+    def test_slowest_slot_pad_refuses_a_probe_on_a_zero(self):
+        # x = 0 is a probe of the stretch before the first zero, and this
+        # padded difference vanishes there exactly
+        p = DPolynomial(ExpBasis("F", (2.0, 1.5, 1.0)), (1.0, -1.0, 0.0))
+        with pytest.raises(at.NumericalInfeasibilityError, match="too collapsed"):
+            at._slowest_slot_epsilon(p, ())
 
     def test_solution_serializes(self, proximal_base):
         sol, ver = construct_target("DHD", proximal_base)

@@ -320,6 +320,8 @@ class TestOutOfRangeArguments:
             (["curves", "--x-max=inf"], 2),
             (["classify", "--x-max=nan"], 2),
             (["classify", "--x-max=1e308"], 2),
+            (["classify", "--grid-samples=2097153"], 2),
+            (["classify", "--grid-samples=1000000000000"], 2),
             (["simulate", "--shape=HD", "--paths=5", "--t=nan"], 2),
             (["simulate", "--shape=HD", "--paths=5", "--z=1e40,0"], 2),
             (["map", "--grid=nan:0.1:3,0:0.1:3"], 2),

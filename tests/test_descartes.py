@@ -155,27 +155,38 @@ class TestDPolyEval:
         assert eval_dpoly(p, 0.0) == pytest.approx(0.0, abs=1e-15)
         assert eval_dpoly(p, 0.5) != 0.0
 
-    def test_sign_evaluator_agrees_in_sign(self):
-        # the bisection evaluator may differ from eval_dpoly in the last
-        # bits, but never in sign, including right next to the zeros and
-        # on both sides of the integrated kind's series cutoff
+    def test_scan_bracket_ends_agree_with_scalar_sign(self, monkeypatch):
+        # The window scan brackets each zero with numpy values, and the
+        # bisection then evaluates in math; the two may differ in the
+        # last bits, but a bracket end is a strong sample, so the scalar
+        # value there must carry the scanned sign.
+        brackets = []
+        bisect = dc._bisect_zero
+
+        def record(p, lo, hi, flo, tol):
+            brackets.append((p, lo, hi, flo))
+            return bisect(p, lo, hi, flo, tol)
+
+        monkeypatch.setattr(dc, "_bisect_zero", record)
         rng = np.random.default_rng(43)
-        offsets = np.array([-1e-8, -1e-11, -1e-14, 0.0, 1e-14, 1e-11, 1e-8])
         for kind in ("F", "G"):
             for _ in range(20):
                 decays = tuple(np.sort(rng.uniform(0.05, 4.0, 4))[::-1])
-                zeros = np.sort(rng.uniform(0.05, 5.0, 3))
-                p = interpolate_prescribed_zeros(ExpBasis(kind, decays), zeros)
-                value = dc._sign_evaluator(p)
-                xs = np.concatenate(
-                    [
-                        (zeros[:, None] * (1.0 + offsets)).ravel(),
-                        np.outer([0.99, 1.01], 1e-4 / np.array(decays)).ravel(),
-                        rng.uniform(0.0, 20.0, 40),
-                    ]
-                )
-                for x in xs.tolist():
-                    assert np.sign(value(x)) == np.sign(eval_dpoly(p, x))
+                basis = ExpBasis(kind, decays)
+                sseq_of_dpoly(DPolynomial(basis, rng.standard_normal(4)))
+                for zeros in (np.sort(rng.uniform(0.05, 5.0, 3)),
+                              0.5 + 10.0 ** -rng.integers(1, 5) * np.arange(3)):
+                    sseq_of_dpoly(interpolate_prescribed_zeros(basis, zeros))
+                # a zero at the faster term's series cutoff x = 1e-4 / decay,
+                # so its bracket ends lie on both sides of it
+                pair = ExpBasis(kind, decays[::3])
+                cutoffs = 1e-4 / np.array(pair.decays)
+                p = interpolate_prescribed_zeros(pair, cutoffs[:1])
+                sseq_of_dpoly(p, GridSpec(x_max=4.0 * cutoffs[1]))
+        assert len(brackets) > 200
+        for p, lo, hi, flo in brackets:
+            assert np.sign(eval_dpoly(p, lo)) == np.sign(flo)
+            assert np.sign(eval_dpoly(p, hi)) == -np.sign(flo)
 
 
 class TestEndpointSigns:
@@ -615,6 +626,22 @@ class TestGridSpec:
             GridSpec(x_max=0.0)
         with pytest.raises(ValueError):
             GridSpec(x_max=1.0, n_samples=8)
+
+    @pytest.mark.parametrize(
+        "x_max,n_samples",
+        [(math.nan, 4096), (math.inf, 4096), (10.0, 100.5), (10.0, "4096"), (10.0, None)],
+    )
+    def test_rejects_non_finite_window_and_non_integral_count(self, x_max, n_samples):
+        with pytest.raises(ValueError, match="must be positive and finite|must be an integer"):
+            GridSpec(x_max=x_max, n_samples=n_samples)
+
+    def test_sample_count_is_capped(self):
+        cap = dc.MAX_GRID_SAMPLES
+        assert cap == 2**21
+        assert GridSpec(x_max=10.0, n_samples=cap).n_samples == cap
+        for n in (cap + 1, 10**12):
+            with pytest.raises(ValueError, match=f"from 64 to {cap}"):
+                GridSpec(x_max=10.0, n_samples=n)
 
 
 class TestBasisValidation:
