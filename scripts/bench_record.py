@@ -27,7 +27,10 @@ both medians, their ratio, the parent's interquartile range and the
 metric's ``BENCHMARK.json`` bound.  A metric reads ``unresolved`` when
 the parent's IQR exceeds its bound times the parent's median, and
 ``worse`` when the median moved the wrong way by more than its bound.
-The exit code is 1 if any metric is worse.  No file is written.
+The failed-share line reads ``worse`` when, on any seed, the change
+fails a larger share of operations than the parent, or is not correct
+where the parent is.  The exit code is 1 if any line reads ``worse``.
+No file is written.
 """
 
 from __future__ import annotations
@@ -133,8 +136,14 @@ def _compare(parent: Path, seeds: list[int], spec: dict) -> int:
         shares = {side: sum(r["failed"] for r in rs) / sum(r["attempted"] for r in rs)
                   for side, rs in runs.items()}
         correct = {side: all(r["correct"] for r in rs) for side, rs in runs.items()}
+        # Runs of one seed share their operations, so their shares compare exactly.
+        rose = any(c["failed"] / c["attempted"] > p["failed"] / p["attempted"]
+                   or (p["correct"] and not c["correct"])
+                   for p, c in zip(runs["parent"], runs["change"]))
+        worse |= rose
         print(f"{name} | failed share | {shares['parent']:.4%} | {shares['change']:.4%} | | | |"
-              f" correct {correct['parent']} -> {correct['change']}")
+              f" {'worse' if rose else 'not worse'} (correct {correct['parent']} -> "
+              f"{correct['change']})")
     return 1 if worse else 0
 
 

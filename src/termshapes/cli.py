@@ -371,6 +371,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
+    except MemoryError:
+        sys.stderr.write("error: requested size is too large to allocate\n")
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -14,15 +14,18 @@ onto one shared grid.  A fixed model (Monte Carlo draws, state maps)
 passes one shared decay row, so its basis samples are made once per
 slot, not once per row.  Each row yields the first sign and the strong
 change count of its reduced sign sequence, which determine the pure
-sequence, hence the shape.  Any apparent violation is re-checked with
-the careful scalar classifier before it is reported.
+sequence, hence the shape.  float32 only decides rows whose every sample
+it can sign; a row with a sample near zero takes its sequence from the
+careful scan of its own float64 polynomial, so ``descartes.ZERO_EPS`` is
+the one rule for what counts as zero.  Any apparent violation is
+re-checked with the careful scalar classifier before it is reported.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -48,9 +51,7 @@ from .vasicek import ScaleRegime, VasicekModel, coefficient_core, ou_exact_step,
 
 RhoClassOption = Literal["nonnegative", "negative", "any"]
 
-#: Grid resolution of the batched scan; apparent violations are
-#: re-validated with the careful float64 classifier, so the fast path
-#: only needs sign-level fidelity.
+#: Grid resolution of the batched scan.
 BATCH_SAMPLES = 512
 #: Rows per float32 pass: a (rows, 512) array is 512 KB at 256 rows.
 _CHUNK = 256
@@ -69,6 +70,10 @@ LEVEL_RANGE = (-0.1, 0.15)
 BOUNDARY_FRACTION = 0.2
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Regime, correlation class, size and seed of one theorem sweep."""
@@ -79,8 +84,15 @@ class SweepConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be positive")
+        if not isinstance(self.regime, ScaleRegime):
+            raise ValueError(f"regime must be a ScaleRegime, got {self.regime!r}")
+        if self.rho_class not in get_args(RhoClassOption):
+            raise ValueError(f"rho_class must be one of {get_args(RhoClassOption)}, "
+                             f"got {self.rho_class!r}")
+        if not (_is_integer(self.n_samples) and self.n_samples >= 1):
+            raise ValueError(f"n_samples must be a positive integer, got {self.n_samples!r}")
+        if not (_is_integer(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -231,33 +243,11 @@ def _sign_runs(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return 2 * pos[:, 0].astype(np.int8) - 1, changes, 2 * pos[:, -1].astype(np.int8) - 1
 
 
-def _first_changes_of_values(
-    vals: np.ndarray, mag: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row (first sign, strong change count, last sign) of samples.
-
-    ``mag`` holds the local sum of term magnitudes; samples below the
-    float32-safe fraction of it count as zero, so structure beyond that
-    depth is dropped rather than read from rounding noise (the careful
-    float64 classifier re-checks anything that looks like a violation).
-    A row without zero samples changes wherever adjacent signs differ;
-    only rows with zeros need a run count over their nonzero samples.
-    """
-    eps = np.float32(1e-6) * mag
-    pos = vals > eps
-    nonzero = pos | (vals < -eps)
-    first, changes, last = _sign_runs(pos)
-    gappy = np.flatnonzero(~nonzero.all(axis=1))
-    if gappy.size:
-        row, col = np.nonzero(nonzero[gappy])  # row-major: each row's samples in order
-        sign = pos[gappy][row, col]
-        switch = (row[1:] == row[:-1]) & (sign[1:] != sign[:-1])
-        changes[gappy] = np.bincount(row[1:][switch], minlength=gappy.size)
-        ends = np.flatnonzero(np.diff(row, prepend=-1, append=gappy.size))
-        first[gappy], last[gappy] = 0, 0
-        first[gappy[row[ends[:-1]]]] = 2 * sign[ends[:-1]].astype(np.int8) - 1
-        last[gappy[row[ends[1:] - 1]]] = 2 * sign[ends[1:] - 1].astype(np.int8) - 1
-    return first, changes, last
+def _careful_first_changes(kind: str, decays: np.ndarray, coeffs: np.ndarray) -> tuple[int, int]:
+    """(first sign, change count) of one row by ``sseq_of_dpoly``, its
+    slots reversed into Descartes order (decreasing decay)."""
+    sseq, _ = sseq_of_dpoly(DPolynomial(ExpBasis(kind, decays[::-1]), coeffs[::-1]))
+    return (int(sseq.signs[0]), len(sseq) - 1) if len(sseq) else (0, 0)
 
 
 def _basis_samples(d: np.ndarray, t: np.ndarray, curves: tuple[str, ...]) -> dict:
@@ -295,16 +285,19 @@ def _scan_curves(
     column is exact (coefficient sum, halved for the yield kind).  Tails
     close with the analytic terminal signs.
 
-    A sample counts as zero when it lies within 1e-6 of its magnitude
+    float32 signs a sample whose magnitude exceeds 1e-6 of its magnitude
     sum vm = sum_j |a_j| b_j.  Every basis sample is at most slot 0's,
     so vm <= abs_sum * b_0, and a sample with |v| > 2e-6 * abs_sum * b_0
     keeps the sign of v; the factor 2 covers float32 rounding, and at
     x = 0 the bound reads half * abs_sum.  Only rows with a sample
-    inside that bound build vm, slot by slot as v is built, and go
-    through ``_first_changes_of_values``.  No float32 sum is reordered,
-    so every row's result is the one the exact floor gives.  A row whose
-    magnitude sum, or squared largest scaled decay, is not below
-    ``_FLOAT32_SAFE`` raises ValueError.
+    inside that bound build vm, slot by slot as v is built.  A row with
+    a sample at or below 1e-6 * vm (or NaN) is deferred: its first sign
+    and change count come from ``sseq_of_dpoly`` on its own float64
+    polynomial (F kind for forward, G for yield), each distinct row
+    scanned once per call.  A row whose magnitude sum, or squared
+    largest scaled decay, is not below ``_FLOAT32_SAFE`` raises
+    ValueError; a deferred row the careful scan cannot resolve raises
+    ``NumericalInconsistencyError``.
     """
     n, k = coeffs.shape
     m = BATCH_SAMPLES
@@ -316,6 +309,7 @@ def _scan_curves(
     slow = _basis_samples(np.float32(20.0), t, curves)
     shared = [slow] + [_basis_samples(dj, t, curves) for dj in d] if d.ndim == 1 else None
     half = {"forward": 1.0, "yield": 0.5}
+    kind = {"forward": F_KIND, "yield": G_KIND}
     # Per unit of abs_sum, the bound at x = 0 and along t.
     ceiling = {
         c: np.float32(2e-6) * np.concatenate((np.float32([half[c]]), slow[c])) for c in curves
@@ -325,10 +319,9 @@ def _scan_curves(
         raise ValueError("curve coefficients exceed the float32 range of the batch scan")
     coef_sum = np.sum(coeffs, axis=1).astype(np.float32)
     abs_sum = abs_sum.astype(np.float32)
-    out = {
-        c: (np.zeros(n, dtype=np.int8), np.zeros(n, dtype=np.int32), np.zeros(n, dtype=np.int8))
-        for c in curves
-    }
+    term = {c: _terminal_signs(decays, coeffs, kind[c]) for c in curves}
+    out = {c: (np.zeros(n, dtype=np.int8), np.zeros(n, dtype=np.int32)) for c in curves}
+    deferred = {c: np.zeros(n, dtype=bool) for c in curves}
 
     def slot_samples(j, rows):
         if shared:
@@ -349,8 +342,9 @@ def _scan_curves(
             pos = np.empty((v.shape[0], m), dtype=bool)
             pos[:, 0] = v0 > 0
             np.greater(v, 0, out=pos[:, 1:])
-            res = _sign_runs(pos)
-            # Rows with a sample inside the bound (or NaN) take the exact floor.
+            first, changes, last = _sign_runs(pos)
+            changes += (term[curve][sl] != 0) & (term[curve][sl] != last)
+            out[curve][0][sl], out[curve][1][sl] = first, changes
             clear = np.abs(v0) > abs_sum[sl] * ceiling[curve][0]
             clear &= (np.abs(v) > abs_sum[sl, None] * ceiling[curve][1:]).all(axis=1)
             rows = np.flatnonzero(~clear)
@@ -361,19 +355,20 @@ def _scan_curves(
                 for j in range(k):
                     vm[:, 1:] += a_abs[:, j, None] * slot_samples(j, start + rows)[curve]
                 vals = np.concatenate((v0[rows, None], v[rows]), axis=1)
-                for arr, exact in zip(res, _first_changes_of_values(vals, vm)):
-                    arr[rows] = exact
-            for arr, r in zip(out[curve], res):
-                arr[sl] = r
+                signed = (np.abs(vals) > np.float32(1e-6) * vm).all(axis=1)
+                deferred[curve][start + rows[~signed]] = True
 
-    results: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for curve in curves:
-        first, changes, last = out[curve]
-        kind = F_KIND if curve == "forward" else G_KIND
-        term = _terminal_signs(decays, coeffs, kind)
-        changes = changes + ((last != 0) & (term != 0) & (term != last)).astype(np.int32)
-        results[curve] = (np.where(first == 0, term, first), changes)
-    return results
+        rows = np.flatnonzero(deferred[curve])
+        if rows.size:
+            # One careful scan per distinct (decays, coefficients) row.
+            both = np.concatenate((np.broadcast_to(decays, coeffs.shape)[rows], coeffs[rows]), 1)
+            uniq, inverse = np.unique(both, axis=0, return_inverse=True)
+            careful = np.array(
+                [_careful_first_changes(kind[curve], r[:k], r[k:]) for r in uniq]
+            )
+            out[curve][0][rows], out[curve][1][rows] = careful[inverse.reshape(-1)].T
+    return out
 
 
 def _shape_codes(first: np.ndarray, changes: np.ndarray) -> np.ndarray:

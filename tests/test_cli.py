@@ -327,12 +327,17 @@ class TestOutOfRangeArguments:
             (["map", "--grid=nan:0.1:3,0:0.1:3"], 2),
             (["map", "--grid=0:1e300:3,0:0.1:3"], 2),
             (["attain", "--shape=HD", "--extrema=5e-324,2"], 3),
+            # Sizes numpy refuses to allocate at once.
+            (["sweep", "--regime=separated", "--samples=1000000000000"], 2),
+            (["simulate", "--shape=HD", "--paths=1000000000000"], 2),
+            (["curves", "--n=1000000000000"], 2),
+            (["map", "--grid=0:0.1:1000000000000,0:0.1:1000000000000"], 2),
         ],
     )
     def test_exits_with_error_line(self, tmp_path, capsys, argv, code):
         doc = {"d": 2, "lambda": [1.0, 3.0], "theta": [0.01, 0.02], "kappa": [1.0, 0.8],
                "kappa0": 0.005, "sigma": [0.3, 0.5], "rho": -0.2, "z": [0.02, -0.01]}
-        path = write_model(tmp_path, doc)
-        assert cli.main([argv[0], "--model", path, *argv[1:]]) == code
+        model = [] if argv[0] == "sweep" else ["--model", write_model(tmp_path, doc)]
+        assert cli.main([argv[0], *model, *argv[1:]]) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -24,7 +24,8 @@ from termshapes import cli
 from termshapes.attain import construct_target
 from termshapes.descartes import DPolynomial, ExpBasis, interpolate_prescribed_zeros
 from termshapes.signseq import NAMED_SHAPES
-from termshapes.vasicek import VasicekModel
+from termshapes.vasicek import ScaleRegime, VasicekModel
+from termshapes.verify import SweepConfig, sweep_theorem
 
 PROPERTY = settings(
     derandomize=True,
@@ -125,6 +126,19 @@ class TestLibraryInput:
             st.lists(mostly(st.floats(0.0, 50.0), numbers), min_size=count, max_size=count)
             .map(sorted), values))
         _only_documented(lambda: interpolate_prescribed_zeros(basis, zeros))
+
+    @PROPERTY
+    @given(
+        mostly(st.sampled_from(list(ScaleRegime)), st.one_of(
+            st.sampled_from([r.value for r in ScaleRegime]), junk)),
+        mostly(st.sampled_from(["nonnegative", "negative", "any"]), st.one_of(
+            st.text(max_size=3), junk)),
+        mostly(st.integers(1, 40), values),
+        mostly(st.integers(0, 2**40), values),
+    )
+    def test_sweep_config(self, regime, rho_class, n_samples, seed):
+        _only_documented(
+            lambda: sweep_theorem(SweepConfig(regime, rho_class, n_samples, seed)))
 
     @settings(PROPERTY, max_examples=150)
     @given(

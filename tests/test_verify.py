@@ -11,7 +11,7 @@ from termshapes import signseq as ss
 from termshapes import vasicek as vk
 from termshapes import verify as vf
 from termshapes.attain import construct_target
-from termshapes.descartes import F_KIND, G_KIND
+from termshapes.descartes import F_KIND, G_KIND, DPolynomial, ExpBasis, sseq_of_dpoly
 from termshapes.signseq import NAMED_SHAPES, SignSeq
 from termshapes.vasicek import ScaleRegime, VasicekModel
 from termshapes.verify import (
@@ -86,6 +86,15 @@ class TestSweep:
         assert report.passed
         assert report.forward_histogram.get("HDH", 0) > 0
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("regime", "separated"), ("rho_class", "bogus"), ("n_samples", 2.5),
+         ("n_samples", "10"), ("n_samples", True), ("seed", -1), ("seed", 1.5), ("seed", "3")],
+    )
+    def test_config_rejects_bad_fields(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SweepConfig(**{"regime": ScaleRegime.SEPARATED, field: value})
+
     def test_runtime_excluded_from_serialization_by_default(self):
         cfg = SweepConfig(regime=ScaleRegime.CRITICAL, n_samples=100, seed=3)
         report = sweep_theorem(cfg)
@@ -128,27 +137,19 @@ class TestBatchAgainstCareful:
         assert exact / checked > 0.98
 
 
-def _forward_fill_first_changes(vals, mag):
-    """Forward-fill change counter the run-based one replaced; an oracle."""
-    m = vals.shape[1]
-    eps = np.float32(1e-6) * mag
-    signs = (vals > eps).astype(np.int8) - (vals < -eps).astype(np.int8)
-    col_idx = np.where(signs != 0, np.arange(m, dtype=np.int32)[None, :], -1)
-    filled_idx = np.maximum.accumulate(col_idx, axis=1)
-    fill = np.take_along_axis(signs, np.maximum(filled_idx, 0).astype(np.intp), axis=1)
-    fill[filled_idx < 0] = 0
-    switch = (fill[:, 1:] != fill[:, :-1]) & (fill[:, :-1] != 0)
-    first_idx = np.argmax(signs != 0, axis=1)
-    first = np.take_along_axis(signs, first_idx[:, None].astype(np.intp), axis=1)[:, 0]
-    return first, switch.sum(axis=1, dtype=np.int32), fill[:, -1]
+#: The oracle's own copy of the float32 floor: float32 does not sign a
+#: sample within this share of its magnitude sum.
+_OLD_FLOOR = np.float32(1e-6)
 
 
 def _two_accumulator_scan(decays, coeffs, m=vf.BATCH_SAMPLES, curves=("forward", "yield")):
     """The batch scan before the bound-first zero test; an oracle.
 
-    Every row accumulates its values and its magnitude sums (the exact
-    1e-6 floor) in float32, slot by slot, each slot's samples made from
-    the row's own scaled decay.
+    Every row accumulates its values and its magnitude sums in float32,
+    slot by slot, each slot's samples made from the row's own scaled
+    decay.  Returns per curve the (first sign, change count) of every
+    row, and a mask of the rows with a sample at or below ``_OLD_FLOOR``
+    of its magnitude sum, whose counts the oracle does not decide.
     """
     n, k = coeffs.shape
     d = (decays * (20.0 / decays[..., :1])).astype(np.float32)
@@ -160,6 +161,7 @@ def _two_accumulator_scan(decays, coeffs, m=vf.BATCH_SAMPLES, curves=("forward",
         c: (np.zeros(n, dtype=np.int8), np.zeros(n, dtype=np.int32), np.zeros(n, dtype=np.int8))
         for c in curves
     }
+    floor = {c: np.zeros(n, dtype=bool) for c in curves}
     for start in range(0, n, vf._CHUNK):
         sl = slice(start, min(start + vf._CHUNK, n))
         a = coeffs[sl].astype(np.float32)
@@ -176,15 +178,22 @@ def _two_accumulator_scan(decays, coeffs, m=vf.BATCH_SAMPLES, curves=("forward",
                 v[:, 1:] += a[:, j, None] * basis[curve]
                 vm[:, 1:] += a_abs[:, j, None] * basis[curve]
         for curve, (v, vm) in sums.items():
-            for arr, res in zip(out[curve], vf._first_changes_of_values(v, vm)):
-                arr[sl] = res
+            floor[curve][sl] = ~(np.abs(v) > _OLD_FLOOR * vm).all(axis=1)
+            pos = v > 0
+            first, changes, last = out[curve]
+            first[sl], last[sl] = np.where(pos[:, 0], 1, -1), np.where(pos[:, -1], 1, -1)
+            changes[sl] = (pos[:, 1:] != pos[:, :-1]).sum(axis=1)
     results = {}
     for curve in curves:
         first, changes, last = out[curve]
         term = vf._terminal_signs(decays, coeffs, F_KIND if curve == "forward" else G_KIND)
-        changes = changes + ((last != 0) & (term != 0) & (term != last)).astype(np.int32)
-        results[curve] = (np.where(first == 0, term, first), changes)
-    return results
+        results[curve] = (first, changes + ((term != 0) & (term != last)))
+    return results, floor
+
+
+def _careful_first_changes(kind, decays, coeffs):
+    sseq, _ = sseq_of_dpoly(DPolynomial(ExpBasis(kind, tuple(decays[::-1])), tuple(coeffs[::-1])))
+    return (int(sseq.signs[0]), len(sseq) - 1) if len(sseq) else (0, 0)
 
 
 def _slot_rows(model, n, seed):
@@ -293,37 +302,6 @@ class TestSlotLayout:
 
 
 class TestScanInternals:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_run_count_matches_forward_fill(self, seed):
-        rng = np.random.default_rng(seed)
-        rows, m = 600, 96
-        x = np.linspace(0.0, 1.0, m)
-        freq = rng.uniform(0.0, 12.0, (rows, 1))
-        phase = rng.uniform(0.0, 2 * np.pi, (rows, 1))
-        vals = np.sin(freq * x + phase) + 0.3 * rng.standard_normal((rows, m))
-        mag = np.abs(vals) + rng.uniform(0.0, 2.0, (rows, m))
-        # Sub-threshold samples at the start, the end, in the middle and
-        # across whole rows; some exactly zero, some with zero magnitude.
-        tiny = 1e-8 * mag * rng.choice([-1.0, 1.0], (rows, m))
-        cut = rng.integers(1, m // 3, rows)
-        cols = np.arange(m)[None, :]
-        groups = rng.integers(0, 6, rows)[:, None]
-        floor = (
-            ((groups == 1) & (cols < cut[:, None]))
-            | ((groups == 2) & (cols >= m - cut[:, None]))
-            | ((groups == 3) & (np.abs(cols - m // 2) < cut[:, None]))
-            | (groups == 4)
-            | ((groups == 5) & (rng.random((rows, m)) < 0.3))
-        )
-        vals = np.where(floor, tiny, vals)
-        vals[::7, 0] = 0.0
-        mag[::11, -1] = vals[::11, -1] = 0.0
-        vals, mag = vals.astype(np.float32), mag.astype(np.float32)
-        got = vf._first_changes_of_values(vals, mag)
-        want = _forward_fill_first_changes(vals, mag)
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(g, w)
-
     @pytest.mark.parametrize("name", sorted(SHARED_MODELS))
     @pytest.mark.parametrize("n", [0, 1, vf._CHUNK - 1, vf._CHUNK, vf._CHUNK + 1])
     def test_shared_decay_row_matches_per_row_decays(self, name, n):
@@ -338,33 +316,52 @@ class TestScanInternals:
     @pytest.mark.parametrize("edit", ["tiny-slowest", "cancel-at-zero"])
     @pytest.mark.parametrize("source", sorted(BOUND_SOURCES))
     @pytest.mark.parametrize("n", [0, 1, vf._CHUNK - 1, vf._CHUNK, vf._CHUNK + 1])
-    def test_bound_first_scan_matches_two_accumulator_oracle(
-        self, monkeypatch, source, edit, n
-    ):
+    def test_bound_first_scan_matches_two_accumulator_oracle(self, source, edit, n):
+        # Rows whose samples all clear the old float32 floor keep the
+        # oracle's counts bit for bit; the rest are the careful scan's.
         decays, coeffs = BOUND_SOURCES[source](n)
         coeffs = coeffs.copy()
         if edit == "tiny-slowest":
+            # Inside the bound but clear of the floor, except every 16th
+            # row, whose coefficients sum to zero: l(0) = 0.
             coeffs[:, 0] *= 1e-9
+            coeffs[::16, -1] = -coeffs[::16, :-1].sum(axis=1)
         else:
             # x = 0 sums between 0.5e-6 and 3e-6 of the magnitude sum, of
-            # either sign: around the exact floor and inside the bound.
+            # either sign: around the old floor and inside the bound.
             rest = coeffs[:, :-1]
             rel = np.linspace(1e-6, 3e-6, n) * np.where(np.arange(n) % 2, 1.0, -1.0)
             coeffs[:, -1] = rel * np.abs(rest).sum(axis=1) - rest.sum(axis=1)
-        want = _two_accumulator_scan(decays, coeffs)
-        undecided = []
-        exact_floor = vf._first_changes_of_values
-
-        def counted(vals, mag):
-            undecided.append(vals.shape[0])
-            return exact_floor(vals, mag)
-
-        monkeypatch.setattr(vf, "_first_changes_of_values", counted)
+        want, floor = _two_accumulator_scan(decays, coeffs)
         got = vf._scan_curves(decays, coeffs)
-        for curve in ("forward", "yield"):
+        row_decays = np.broadcast_to(decays, coeffs.shape)
+        for curve, kind in (("forward", F_KIND), ("yield", G_KIND)):
+            signed = ~floor[curve]
             for g, w in zip(got[curve], want[curve]):
-                np.testing.assert_array_equal(g, w)
-        assert (sum(undecided) > 0) == (n > 0)
+                np.testing.assert_array_equal(g[signed], w[signed])
+            for i in np.flatnonzero(floor[curve]):
+                careful = _careful_first_changes(kind, row_decays[i], coeffs[i])
+                assert (got[curve][0][i], got[curve][1][i]) == careful
+        assert (floor["forward"].any() or floor["yield"].any()) == (n > 0)
+
+    @pytest.mark.parametrize("curve", ["forward", "yield"])
+    def test_deferred_rows_scanned_once_each(self, monkeypatch, curve):
+        # With zero volatility every path lands on one state with
+        # w1 = -w2, so l(0) = 0: every row is deferred, and all are equal.
+        model = VasicekModel(
+            lam=(1.0, 3.0), theta=(0.01, 0.02), kappa=(1.0, 0.8), kappa0=0.005, sigma=(0.0, 0.0)
+        )
+        z0 = (0.0, 0.02 + 0.01 * math.exp(0.02) / 2.4)
+        calls = []
+
+        def counted(p, *args):
+            calls.append(p)
+            return sseq_of_dpoly(p, *args)
+
+        monkeypatch.setattr(vf, "sseq_of_dpoly", counted)
+        freq = strict_attainability_mc(model, z0, 0.01, 20_000, ss.NORMAL, seed=0, curve=curve)
+        assert freq == 1.0
+        assert len(calls) == 1
 
     def test_leading_series_columns_match_full_width(self):
         # Near-critical instances put slots within 1e-6 of each other;
@@ -473,6 +470,20 @@ class TestStateSpaceMap:
                 assert yld == "humped"
             elif z > y_hi + 1e-9:
                 assert yld == "inverse"
+
+    @pytest.mark.parametrize("delta", [1e-9, 1e-8, 1.6e-7])
+    def test_one_factor_states_just_below_theta_read_humped(self, delta):
+        # The hump lies within float32 noise of the origin, so the batch
+        # scan must hand these rows to the careful scan.
+        model = SHARED_MODELS["one-factor"]
+        z = model.theta[0] - delta
+        (fwd_lo, theta), (yld_lo, _) = cl.one_dim_regions(model)
+        assert max(fwd_lo, yld_lo) < z < theta
+        assert cl.classify_forward(model, (z,)).shape == ss.HUMPED
+        assert cl.classify_yield(model, (z,)).shape == ss.HUMPED
+        for curve in ("forward", "yield"):
+            assert vf._fixed_model_codes(model, [[z]], curve).tolist() == [shape_code(ss.HUMPED)]
+        assert state_space_map(model, [z]) == [(z, "humped", "humped")]
 
     def test_grid_argument_validation(self):
         model = VasicekModel(
