@@ -30,7 +30,9 @@ the parent's IQR exceeds its bound times the parent's median, and
 The failed-share line reads ``worse`` when, on any seed, the change
 fails a larger share of operations than the parent, or is not correct
 where the parent is.  The exit code is 1 if any line reads ``worse``.
-No file is written.
+No file is written.  ``--workloads NAME ...`` limits the comparison to
+those workloads (default: every one), so that a claimed workload can
+get more alternated seeds in the same time.
 """
 
 from __future__ import annotations
@@ -105,13 +107,13 @@ def _version(package: str) -> str:
         return "absent"
 
 
-def _compare(parent: Path, seeds: list[int], spec: dict) -> int:
-    """Alternated parent/change runs; prints one line per metric."""
+def _compare(parent: Path, seeds: list[int], spec: dict, names: list[str]) -> int:
+    """Alternated parent/change runs of the named workloads; prints one
+    line per metric."""
     worse = False
     print("workload | metric | parent median | change median | ratio | parent IQR | bound"
           " | verdict")
-    for entry in spec["workloads"]:
-        name = entry["name"]
+    for name in names:
         runs = {"parent": [], "change": []}
         for k, seed in enumerate(seeds):
             sides = [("parent", parent), ("change", ROOT)]
@@ -155,12 +157,20 @@ def main(argv=None) -> int:
     mode.add_argument("--compare", type=Path, metavar="PARENT_DIR",
                       help="compare with the checkout at PARENT_DIR instead")
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--workloads", nargs="+", metavar="NAME",
+                        help="with --compare, the workloads to run (default: every one)")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [entry["name"] for entry in spec["workloads"]]
+    if args.workloads and not args.compare:
+        parser.error("--workloads applies to --compare only")
+    unknown = sorted(set(args.workloads or ()) - set(names))
+    if unknown:
+        parser.error(f"unknown workloads {unknown}; BENCHMARK.json lists {names}")
     if args.compare:
         if not (args.compare / "bench" / "run.py").is_file():
             parser.error(f"no bench/run.py under {args.compare}")
-        return _compare(args.compare.resolve(), args.seeds, spec)
+        return _compare(args.compare.resolve(), args.seeds, spec, args.workloads or names)
     if not re.fullmatch(r"[\w.+-]+", args.label):
         parser.error("label may hold letters, digits, '_', '.', '+' and '-' only")
 

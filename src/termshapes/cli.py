@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -275,6 +276,7 @@ def _cmd_curves(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # one per process: parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="termshapes",

@@ -10,15 +10,16 @@ bound is exercised on random extremal interpolants.
 
 Sweeps use a vectorised scan: both basis functions depend only on
 u = decay * x, so rescaling x by the row's window maps every instance
-onto one shared grid.  A fixed model (Monte Carlo draws, state maps)
-passes one shared decay row, so its basis samples are made once per
-slot, not once per row.  Each row yields the first sign and the strong
-change count of its reduced sign sequence, which determine the pure
-sequence, hence the shape.  float32 only decides rows whose every sample
-it can sign; a row with a sample near zero takes its sequence from the
-careful scan of its own float64 polynomial, so ``descartes.ZERO_EPS`` is
-the one rule for what counts as zero.  Any apparent violation is
-re-checked with the careful scalar classifier before it is reported.
+onto one shared grid.  A slot whose scaled decay is the same in every
+row (every slot of a fixed model, as in Monte Carlo draws and state
+maps) is sampled once per call, not once per row.  Each row yields the
+first sign and the strong change count of its reduced sign sequence,
+which determine the pure sequence, hence the shape.  float32 only
+decides rows whose every sample it can sign; a row with a sample near
+zero takes its sequence from the careful scan of its own float64
+polynomial, so ``descartes.ZERO_EPS`` is the one rule for what counts
+as zero.  Any apparent violation is re-checked with the careful scalar
+classifier before it is reported.
 """
 
 from __future__ import annotations
@@ -236,10 +237,10 @@ def _g_series32(u: np.ndarray) -> np.ndarray:
     )
 
 
-def _sign_runs(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sign_runs(pos: np.ndarray, flips: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-row (first sign, change count, last sign) of rows without zero
-    samples, from ``pos`` (sample > 0)."""
-    changes = (pos[:, 1:] != pos[:, :-1]).sum(axis=1, dtype=np.int32)
+    samples, from ``pos`` (sample > 0); ``flips`` is scratch for the changes."""
+    changes = np.not_equal(pos[:, 1:], pos[:, :-1], out=flips).sum(axis=1, dtype=np.int32)
     return 2 * pos[:, 0].astype(np.int8) - 1, changes, 2 * pos[:, -1].astype(np.int8) - 1
 
 
@@ -250,19 +251,21 @@ def _careful_first_changes(kind: str, decays: np.ndarray, coeffs: np.ndarray) ->
     return (int(sseq.signs[0]), len(sseq) - 1) if len(sseq) else (0, 0)
 
 
-def _basis_samples(d: np.ndarray, t: np.ndarray, curves: tuple[str, ...]) -> dict:
-    """exp(-u) and G(u) at u = d * t, for d a scalar or one value per row."""
-    u = d[..., None] * t
-    e = np.exp(-u)
-    out = {"forward": e}
+def _basis_samples(d: np.ndarray, t: np.ndarray, curves: tuple[str, ...], out=None) -> dict:
+    """exp(-u) and G(u) at u = d * t, for d a scalar or one value per row,
+    written into ``out`` (u, exp and G buffers; u is left as u * u) if given."""
+    u, e, g = np.empty((3, *np.shape(d), t.size), dtype=np.float32) if out is None else out
+    np.multiply(d[..., None], t, out=u)
+    samples = {"forward": np.exp(np.negative(u, out=e), out=e)}
     if "yield" in curves:
-        g = (1.0 - e * (1.0 + u)) / (u * u)
         # u grows along t, so the series region u < 0.25 is a column prefix.
         lead = int(np.count_nonzero(np.min(d) * t < 0.25))
-        head = u[..., :lead]
-        g[..., :lead] = np.where(head < 0.25, _g_series32(head), g[..., :lead])
-        out["yield"] = g
-    return out
+        series, small = _g_series32(u[..., :lead]), u[..., :lead] < 0.25
+        np.subtract(1.0, np.multiply(e, np.add(u, 1.0, out=g), out=g), out=g)
+        np.divide(g, np.multiply(u, u, out=u), out=g)
+        np.copyto(g[..., :lead], series, where=small)
+        samples["yield"] = g
+    return samples
 
 
 def _scan_curves(
@@ -274,23 +277,28 @@ def _scan_curves(
 
     Both basis functions depend only on u = decay * x, so u is scanned on
     the row-normalised window x <= 20 / min decay and the single exp per
-    slot feeds both curves.  Slot 0 is the slowest, and every row is
-    scaled so that slot 0's float32 decay is exactly 20: its exp and G
-    samples are made once per call and shared by all rows.  ``decays``
-    is (n, k), or one shared row of shape (k,) for a fixed model, whose
-    other slots are then made once per call too.  G's series branch
-    (u < 0.25) only reaches the first few columns, since u >= 20 t.
-    Rows go through in float32 chunks of ``_CHUNK``, small enough that
-    the few live (chunk, ``BATCH_SAMPLES``) arrays stay near cache size.  The x = 0
-    column is exact (coefficient sum, halved for the yield kind).  Tails
-    close with the analytic terminal signs.
+    slot feeds both curves.  Every row is scaled so that slot 0, the
+    slowest, has float32 decay exactly 20.  ``decays`` is (n, k), or one
+    shared row (k,) for a fixed model.  A slot whose float32 scaled decay
+    is equal in every row (slot 0, a sweep's 2 lambda_1 slot at exactly
+    40, every slot of a critical sweep or fixed model) is sampled once
+    per call, the others once per chunk.  G's series branch (u < 0.25)
+    only reaches the first few columns, since u >= 20 t.  Rows go through
+    in float32 chunks of ``_CHUNK`` that write into near-cache-size
+    (chunk, ``BATCH_SAMPLES``) workspaces made once per call.  A sample
+    adds its products a_j b_j in slot order: one ``np.einsum`` over the
+    leading run of shared slots, which adds in that order without
+    fusing, then product-then-add per later slot, bit for bit the
+    slot-by-slot sum (a GEMM would reorder it).  The x = 0 column is
+    exact (coefficient sum, halved for the yield kind).  Tails close with
+    the analytic terminal signs.
 
     float32 signs a sample whose magnitude exceeds 1e-6 of its magnitude
     sum vm = sum_j |a_j| b_j.  Every basis sample is at most slot 0's,
     so vm <= abs_sum * b_0, and a sample with |v| > 2e-6 * abs_sum * b_0
     keeps the sign of v; the factor 2 covers float32 rounding, and at
     x = 0 the bound reads half * abs_sum.  Only rows with a sample
-    inside that bound build vm, slot by slot as v is built.  A row with
+    inside that bound build vm, in the same slot order as v.  A row with
     a sample at or below 1e-6 * vm (or NaN) is deferred: its first sign
     and change count come from ``sseq_of_dpoly`` on its own float64
     polynomial (F kind for forward, G for yield), each distinct row
@@ -300,19 +308,23 @@ def _scan_curves(
     ``NumericalInconsistencyError``.
     """
     n, k = coeffs.shape
+    out = {c: (np.zeros(n, dtype=np.int8), np.zeros(n, dtype=np.int32)) for c in curves}
+    if n == 0:
+        return out
     m = BATCH_SAMPLES
-    d = decays[..., 1:] * (20.0 / decays[..., :1])  # slots 1..k-1
+    d = decays * (20.0 / decays[..., :1])
     if not np.all(d < np.sqrt(_FLOAT32_SAFE)):
         raise ValueError("decay rates spread too widely for the float32 batch scan")
-    d = d.astype(np.float32)
+    d = np.atleast_2d(d.astype(np.float32))
+    shared = np.all(d == d[0], axis=0)
+    lead = int(np.logical_and.accumulate(shared).sum())
     t = np.linspace(0.0, 1.0, m)[1:].astype(np.float32)
-    slow = _basis_samples(np.float32(20.0), t, curves)
-    shared = [slow] + [_basis_samples(dj, t, curves) for dj in d] if d.ndim == 1 else None
+    table = _basis_samples(d[0], t, curves)  # (k, m - 1); read at shared slots only
     half = {"forward": 1.0, "yield": 0.5}
     kind = {"forward": F_KIND, "yield": G_KIND}
     # Per unit of abs_sum, the bound at x = 0 and along t.
     ceiling = {
-        c: np.float32(2e-6) * np.concatenate((np.float32([half[c]]), slow[c])) for c in curves
+        c: np.float32(2e-6) * np.concatenate((np.float32([half[c]]), table[c][0])) for c in curves
     }
     abs_sum = np.sum(np.abs(coeffs), axis=1)
     if not np.all(abs_sum < _FLOAT32_SAFE):
@@ -320,42 +332,48 @@ def _scan_curves(
     coef_sum = np.sum(coeffs, axis=1).astype(np.float32)
     abs_sum = abs_sum.astype(np.float32)
     term = {c: _terminal_signs(decays, coeffs, kind[c]) for c in curves}
-    out = {c: (np.zeros(n, dtype=np.int8), np.zeros(n, dtype=np.int32)) for c in curves}
     deferred = {c: np.zeros(n, dtype=bool) for c in curves}
+    # Workspaces: per-curve sums, product scratch and, when a slot varies by
+    # row, u, exp and G.  glibc keeps one block this size on the heap between
+    # calls; separate arrays would be trimmed and faulted in again each call.
+    cap = min(n, _CHUNK)
+    work = np.empty((len(curves) + (1 if shared.all() else 4), cap, m - 1), dtype=np.float32)
+    acc, prod, bufs = dict(zip(curves, work)), work[len(curves)], work[len(curves) + 1 :]
+    pos, flips = np.empty((cap, m), dtype=bool), np.empty((cap, m - 1), dtype=bool)
 
-    def slot_samples(j, rows):
-        if shared:
-            return shared[j]
-        return slow if j == 0 else _basis_samples(d[rows, j - 1], t, curves)
+    def accumulate(sums: dict, a: np.ndarray, rows) -> None:
+        """sums[c] = sum_j a[:, j] * (slot j's samples), added in slot order."""
+        r = a.shape[0]
+        for c, s in sums.items():
+            np.einsum("ij,jk->ik", a[:, :lead], table[c][:lead], out=s)
+        for j in range(lead, k):
+            samples = ({c: table[c][j] for c in sums} if shared[j]
+                       else _basis_samples(d[rows, j], t, tuple(sums), bufs[:, :r]))
+            for c, s in sums.items():
+                s += np.multiply(a[:, j, None], samples[c], out=prod[:r])
 
     for start in range(0, n, _CHUNK):
         sl = slice(start, min(start + _CHUNK, n))
         a = coeffs[sl].astype(np.float32)
-        # The x > 0 samples accumulate in contiguous arrays, slot by slot.
-        acc = {c: a[:, :1] * slow[c] for c in curves}
-        for j in range(1, k):
-            samples = slot_samples(j, sl)
-            for curve in curves:
-                acc[curve] += a[:, j, None] * samples[curve]
+        r = a.shape[0]
+        accumulate({c: acc[c][:r] for c in curves}, a, sl)
         for curve in curves:
-            v0, v = half[curve] * coef_sum[sl], acc.pop(curve)  # x = 0 and x > 0
-            pos = np.empty((v.shape[0], m), dtype=bool)
-            pos[:, 0] = v0 > 0
-            np.greater(v, 0, out=pos[:, 1:])
-            first, changes, last = _sign_runs(pos)
+            v0, v = half[curve] * coef_sum[sl], acc[curve][:r]  # x = 0 and x > 0
+            pos[:r, 0] = v0 > 0
+            np.greater(v, 0, out=pos[:r, 1:])
+            first, changes, last = _sign_runs(pos[:r], flips[:r])
             changes += (term[curve][sl] != 0) & (term[curve][sl] != last)
             out[curve][0][sl], out[curve][1][sl] = first, changes
+            np.abs(v, out=v)  # v holds |v| from here on
+            bound = np.multiply(abs_sum[sl, None], ceiling[curve][1:], out=prod[:r])
             clear = np.abs(v0) > abs_sum[sl] * ceiling[curve][0]
-            clear &= (np.abs(v) > abs_sum[sl, None] * ceiling[curve][1:]).all(axis=1)
+            clear &= np.greater(v, bound, out=flips[:r]).all(axis=1)
             rows = np.flatnonzero(~clear)
             if rows.size:
-                vm = np.zeros((rows.size, m), dtype=np.float32)
-                vm[:, 0] = half[curve] * abs_sum[sl][rows]
-                a_abs = np.abs(a[rows])
-                for j in range(k):
-                    vm[:, 1:] += a_abs[:, j, None] * slot_samples(j, start + rows)[curve]
-                vals = np.concatenate((v0[rows, None], v[rows]), axis=1)
-                signed = (np.abs(vals) > np.float32(1e-6) * vm).all(axis=1)
+                vm = np.empty((rows.size, m - 1), dtype=np.float32)
+                accumulate({curve: vm}, np.abs(a[rows]), start + rows)
+                signed = np.abs(v0[rows]) > np.float32(1e-6) * (half[curve] * abs_sum[sl][rows])
+                signed &= (v[rows] > np.float32(1e-6) * vm).all(axis=1)
                 deferred[curve][start + rows[~signed]] = True
 
     for curve in curves:

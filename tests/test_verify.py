@@ -229,11 +229,10 @@ SHARED_MODELS = {
 }
 
 
-def _sweep_rows(n, lam2_ratio=None):
-    """(n, k) slot rows of separated sweep draws, optionally with lambda2 =
+def _sweep_rows(n, reg=ScaleRegime.SEPARATED, lam2_ratio=None):
+    """(n, k) slot rows of sweep draws in a regime, optionally with lambda2 =
     2 lambda1 * lam2_ratio."""
-    inst = vf.sample_instances(SweepConfig(ScaleRegime.SEPARATED), np.random.default_rng(n), n)
-    reg = ScaleRegime.SEPARATED
+    inst = vf.sample_instances(SweepConfig(reg), np.random.default_rng(n), n)
     if lam2_ratio is not None:
         inst["lam2"] = 2 * inst["lam1"] * lam2_ratio
         reg = ScaleRegime.SEPARATED if lam2_ratio > 1 else ScaleRegime.PROXIMAL
@@ -242,10 +241,15 @@ def _sweep_rows(n, lam2_ratio=None):
 
 # Per-row and shared decay rows, with lambda2 = 2 lambda1 (1 -/+ 5e-7)
 # putting two slots within 1e-6 of each other near the G series switch.
+# Slots 0 and 1 (scaled decays 20 and 40) of a separated sweep are shared
+# by every row; a proximal sweep shares slots 0 and 2, so its second
+# shared slot follows a per-row one; a critical sweep shares every slot.
 BOUND_SOURCES = {
     "sweep": _sweep_rows,
-    "sweep-critical-5e-7": lambda n: _sweep_rows(n, 1 - 5e-7),
-    "sweep-critical+5e-7": lambda n: _sweep_rows(n, 1 + 5e-7),
+    "sweep-proximal": lambda n: _sweep_rows(n, ScaleRegime.PROXIMAL),
+    "sweep-critical": lambda n: _sweep_rows(n, ScaleRegime.CRITICAL),
+    "sweep-critical-5e-7": lambda n: _sweep_rows(n, lam2_ratio=1 - 5e-7),
+    "sweep-critical+5e-7": lambda n: _sweep_rows(n, lam2_ratio=1 + 5e-7),
     "fixed-critical-5e-7": lambda n: _slot_rows(SHARED_MODELS["near-proximal"], n, seed=n),
     "fixed-critical+5e-7": lambda n: _slot_rows(SHARED_MODELS["near-separated"], n, seed=n),
 }
@@ -301,24 +305,36 @@ class TestSlotLayout:
             assert tuple(coeffs[i, ::-1].tolist()) == poly.coefficients
 
 
+def _assert_matches_oracle(got, decays, coeffs):
+    """Rows whose samples all clear the oracle's float32 floor keep its
+    counts bit for bit; the rest are the careful scan's.  Returns the
+    oracle's floor masks."""
+    want, floor = _two_accumulator_scan(decays, coeffs)
+    row_decays = np.broadcast_to(decays, coeffs.shape)
+    for curve, kind in (("forward", F_KIND), ("yield", G_KIND)):
+        signed = ~floor[curve]
+        for g, w in zip(got[curve], want[curve]):
+            np.testing.assert_array_equal(g[signed], w[signed])
+        for i in np.flatnonzero(floor[curve]):
+            careful = _careful_first_changes(kind, row_decays[i], coeffs[i])
+            assert (got[curve][0][i], got[curve][1][i]) == careful
+    return floor
+
+
 class TestScanInternals:
     @pytest.mark.parametrize("name", sorted(SHARED_MODELS))
     @pytest.mark.parametrize("n", [0, 1, vf._CHUNK - 1, vf._CHUNK, vf._CHUNK + 1])
     def test_shared_decay_row_matches_per_row_decays(self, name, n):
+        # The oracle samples the tiled rows row by row; the scan samples
+        # the shared row once.
         decays, coeffs = _slot_rows(SHARED_MODELS[name], n, seed=n)
         assert decays.ndim == 1 and coeffs.shape == (n, decays.size)
-        shared = vf._scan_curves(decays, coeffs)
-        per_row = vf._scan_curves(np.tile(decays, (n, 1)), coeffs)
-        for curve in ("forward", "yield"):
-            for a, b in zip(shared[curve], per_row[curve]):
-                np.testing.assert_array_equal(a, b)
+        _assert_matches_oracle(vf._scan_curves(decays, coeffs), np.tile(decays, (n, 1)), coeffs)
 
     @pytest.mark.parametrize("edit", ["tiny-slowest", "cancel-at-zero"])
     @pytest.mark.parametrize("source", sorted(BOUND_SOURCES))
     @pytest.mark.parametrize("n", [0, 1, vf._CHUNK - 1, vf._CHUNK, vf._CHUNK + 1])
     def test_bound_first_scan_matches_two_accumulator_oracle(self, source, edit, n):
-        # Rows whose samples all clear the old float32 floor keep the
-        # oracle's counts bit for bit; the rest are the careful scan's.
         decays, coeffs = BOUND_SOURCES[source](n)
         coeffs = coeffs.copy()
         if edit == "tiny-slowest":
@@ -332,17 +348,37 @@ class TestScanInternals:
             rest = coeffs[:, :-1]
             rel = np.linspace(1e-6, 3e-6, n) * np.where(np.arange(n) % 2, 1.0, -1.0)
             coeffs[:, -1] = rel * np.abs(rest).sum(axis=1) - rest.sum(axis=1)
-        want, floor = _two_accumulator_scan(decays, coeffs)
-        got = vf._scan_curves(decays, coeffs)
-        row_decays = np.broadcast_to(decays, coeffs.shape)
-        for curve, kind in (("forward", F_KIND), ("yield", G_KIND)):
-            signed = ~floor[curve]
-            for g, w in zip(got[curve], want[curve]):
-                np.testing.assert_array_equal(g[signed], w[signed])
-            for i in np.flatnonzero(floor[curve]):
-                careful = _careful_first_changes(kind, row_decays[i], coeffs[i])
-                assert (got[curve][0][i], got[curve][1][i]) == careful
+        floor = _assert_matches_oracle(vf._scan_curves(decays, coeffs), decays, coeffs)
         assert (floor["forward"].any() or floor["yield"].any()) == (n > 0)
+
+    @pytest.mark.parametrize(
+        "source,per_row",
+        [("sweep", 3), ("sweep-proximal", 3), ("sweep-critical", 0),
+         ("fixed-separated", 0), ("fixed-critical", 0), ("fixed-one-factor", 0)],
+    )
+    def test_shared_slots_sampled_once_per_call(self, monkeypatch, source, per_row):
+        # One call samples every slot at the first row's decays.  A slot
+        # that varies by row (in a sweep, all but the slots at 20 and 40)
+        # is sampled once per chunk for the chunk's rows, and again, in a
+        # smaller call, for the rows that build their magnitude sum.
+        chunks = 3
+        if source.startswith("fixed-"):
+            decays, coeffs = _slot_rows(SHARED_MODELS[source[6:]], chunks * vf._CHUNK, seed=1)
+        else:
+            decays, coeffs = BOUND_SOURCES[source](chunks * vf._CHUNK)
+        sizes = []
+        real = vf._basis_samples
+
+        def counted(d, *args):
+            sizes.append(np.size(d))
+            return real(d, *args)
+
+        monkeypatch.setattr(vf, "_basis_samples", counted)
+        vf._scan_curves(decays, coeffs)
+        assert sizes[0] == coeffs.shape[1]
+        assert sizes.count(vf._CHUNK) == chunks * per_row
+        assert all(size < vf._CHUNK for size in sizes[1:] if size != vf._CHUNK)
+        assert per_row or len(sizes) == 1
 
     @pytest.mark.parametrize("curve", ["forward", "yield"])
     def test_deferred_rows_scanned_once_each(self, monkeypatch, curve):
@@ -381,6 +417,11 @@ class TestScanInternals:
             got = vf._basis_samples(d, t, ("yield",))
             np.testing.assert_array_equal(got["yield"], want)
             np.testing.assert_array_equal(got["forward"], e)
+            # Caller buffers, as the scan's chunk workspace passes them.
+            bufs = np.full((3, *u.shape), np.nan, dtype=np.float32)
+            into = vf._basis_samples(d, t, ("forward", "yield"), bufs)
+            np.testing.assert_array_equal(into["yield"], want)
+            np.testing.assert_array_equal(into["forward"], e)
 
 
 class TestStrictAttainability:
