@@ -53,6 +53,12 @@ def corpus() -> list[list[str]]:
                 changes = shape_from_label(shape).changes
                 if changes:
                     calls.append(call + ["--extrema", ",".join(map(str, EXTREMA[:changes]))])
+    # Extrema closer than the sign scan's sample spacing: 1e-5 apart
+    # verifies, 1e-7 apart is too close to sign in float64.
+    for extrema in ("1,1.00001", "1,1.0000001"):
+        for curve in ("forward", "yield"):
+            calls.append(["attain", "--model", "readme.json", "--shape", "HD",
+                          "--curve", curve, "--extrema", extrema])
     calls.append(["map", "--model", "one.json", "--grid=-0.3:0.3:400"])
     calls.append(["map", "--model", "readme.json", "--grid=-0.05:0.05:40,-0.05:0.05:40"])
     calls.append(["map", "--model", "readme.json", "--grid=-0.05:0.05:15,-0.05:0.05:15",

@@ -22,7 +22,6 @@ from .classify import (
 from .descartes import (
     DPolynomial,
     ExpBasis,
-    GridSpec,
     NumericalInconsistencyError,
     eval_basis_fn,
     eval_dpoly,
@@ -47,7 +46,6 @@ __all__ = [
     "AttainSolution",
     "DPolynomial",
     "ExpBasis",
-    "GridSpec",
     "InadmissibleShapeError",
     "NumericalInconsistencyError",
     "RhoOutOfRangeError",

@@ -46,27 +46,20 @@ import math
 from dataclasses import dataclass, replace
 from typing import Literal, Sequence
 
-from .classify import (
-    ShapeReport,
-    admissible_shapes,
-    classify_forward,
-    classify_yield,
-)
+from .classify import ShapeReport, _classify, admissible_shapes
 from .descartes import (
     DPolynomial,
     ExpBasis,
     F_KIND,
     G_KIND,
-    GridSpec,
-    MAX_GRID_SAMPLES,
     _floats,
     _stability_radius,
     coef_inequality_value,
     interpolate_prescribed_zeros,
 )
 from .signseq import ShapeName, shape_from_label
-from .vasicek import (ScaleRegime, VasicekModel, coefficient_parts, regime, slot_decays,
-                      slot_layout, with_covariance)
+from .vasicek import (ScaleRegime, VasicekModel, coefficient_parts, l_coefficients,
+                      m_coefficients, regime, slot_decays, slot_layout, with_covariance)
 
 Curve = Literal["forward", "yield"]
 
@@ -479,21 +472,17 @@ class AttainVerification:
         }
 
 
-def _verification_grid(sol: AttainSolution) -> GridSpec:
-    """The default grid, dense enough to resolve the prescribed zeros."""
-    grid = GridSpec.for_basis(sol.dpoly.basis)
-    positive = [z for z in sol.prescribed_zeros if z > 0]
-    if not positive:
-        return grid
-    gaps = [positive[0]] + [b - a for a, b in zip(positive, positive[1:])]
-    min_gap = min(gaps)
-    spacings = 4.0 * grid.x_max / min_gap
-    if spacings >= MAX_GRID_SAMPLES:
-        raise NumericalInfeasibilityError(
-            f"prescribed zeros too tightly clustered to verify (gap {min_gap:g})"
-        )
-    needed = int(spacings) + 1
-    return grid if needed <= grid.n_samples else replace(grid, n_samples=needed)
+def _stretch_points(zeros: tuple[float, ...]) -> list[float]:
+    """One point strictly inside each sign stretch that the positive
+    prescribed zeros z_1 < ... < z_k leave: the midpoints of 0, z_1, ...,
+    z_k, 2 z_k.  A point that rounds onto 0 or onto a zero means the
+    zeros are too close to verify."""
+    positive = [z for z in zeros if z > 0]
+    ends = [0.0, *positive, 2.0 * positive[-1]] if positive else []
+    points = [0.5 * (a + b) for a, b in zip(ends, ends[1:])]
+    if not all(a < x < b for a, x, b in zip(ends, points, ends[1:])):
+        raise NumericalInfeasibilityError("prescribed zeros too tightly clustered to verify")
+    return points
 
 
 def residuals(sol: AttainSolution) -> float:
@@ -506,10 +495,11 @@ def residuals(sol: AttainSolution) -> float:
 
 
 def verify_solution(sol: AttainSolution, target: ShapeTarget) -> AttainVerification:
-    """Classify the constructed curve on ``_verification_grid`` and
-    re-substitute the solution."""
-    classify = classify_forward if target.curve == "forward" else classify_yield
-    report = classify(sol.model, sol.state, _verification_grid(sol))
+    """Classify the constructed curve and re-substitute the solution; the
+    sign scan adds ``_stretch_points`` to its fixed window, and they
+    bracket the prescribed zeros however close they lie."""
+    poly = (l_coefficients if target.curve == "forward" else m_coefficients)(sol.model, sol.state)
+    report = _classify(poly, target.curve, _stretch_points(sol.prescribed_zeros))
 
     messages = []
     shape_matched = report.shape == target.shape

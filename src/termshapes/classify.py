@@ -2,7 +2,9 @@
 
 A curve's shape is read off its derivative: the classifier builds the
 derivative D-polynomial, extracts its reduced sign sequence on
-[0, inf), and names the resulting hump/dip pattern.  The module also
+[0, inf) with ``sseq_of_dpoly`` (one fixed window, 4,096 samples over
+20 e-foldings of the slowest decay, plus any stretch points the caller
+knows), and names the resulting hump/dip pattern.  The module also
 exposes the theoretical admissibility sets per scale regime and
 correlation sign, the per-instance sign-sequence bounds implied by
 variation diminishing, and the closed-form state-space regions of the
@@ -12,10 +14,10 @@ one-factor model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, Sequence
 
 from . import signseq
-from .descartes import REFINE_TOL, DPolynomial, GridSpec, sseq_of_dpoly
+from .descartes import REFINE_TOL, WINDOW_SAMPLES, DPolynomial, sseq_of_dpoly
 from .signseq import (
     DH,
     DHD,
@@ -109,7 +111,7 @@ def rho_class_of(model: VasicekModel) -> RhoClass:
     return "nonnegative" if model.rho >= 0 else "negative"
 
 
-def _classify(poly: DPolynomial, curve: Curve, grid: GridSpec | None) -> ShapeReport:
+def _classify(poly: DPolynomial, curve: Curve, probes: Sequence[float] = ()) -> ShapeReport:
     if poly.is_zero:
         return ShapeReport(
             curve=curve,
@@ -118,9 +120,7 @@ def _classify(poly: DPolynomial, curve: Curve, grid: GridSpec | None) -> ShapeRe
             extrema=(),
             diagnostics={"flat": True},
         )
-    if grid is None:
-        grid = GridSpec.for_basis(poly.basis)
-    sseq, zeros = sseq_of_dpoly(poly, grid)
+    sseq, zeros = sseq_of_dpoly(poly, probes)
     shape = signseq.shape_of(sseq)
 
     extrema = []
@@ -135,8 +135,8 @@ def _classify(poly: DPolynomial, curve: Curve, grid: GridSpec | None) -> ShapeRe
         if abs(a) < BOUNDARY_RTOL * scale
     ]
     diagnostics = {
-        "x_max": grid.x_max,
-        "n_samples": grid.n_samples,
+        "x_max": poly.basis.window_end,
+        "n_samples": WINDOW_SAMPLES,
         "refine_tol": REFINE_TOL,
         "boundary_coefficient_slots": boundary,
         "zero_residuals": [abs(poly(z)) for z in zeros],
@@ -150,18 +150,14 @@ def _classify(poly: DPolynomial, curve: Curve, grid: GridSpec | None) -> ShapeRe
     )
 
 
-def classify_forward(
-    model: VasicekModel, z, grid: GridSpec | None = None
-) -> ShapeReport:
+def classify_forward(model: VasicekModel, z) -> ShapeReport:
     """Shape of the forward curve at state z."""
-    return _classify(l_coefficients(model, z), "forward", grid)
+    return _classify(l_coefficients(model, z), "forward")
 
 
-def classify_yield(
-    model: VasicekModel, z, grid: GridSpec | None = None
-) -> ShapeReport:
+def classify_yield(model: VasicekModel, z) -> ShapeReport:
     """Shape of the yield curve at state z."""
-    return _classify(m_coefficients(model, z), "yield", grid)
+    return _classify(m_coefficients(model, z), "yield")
 
 
 def sign_bound(model: VasicekModel, z, curve: Curve = "forward") -> SignSeq:

@@ -21,13 +21,12 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import attain, classify, verify
-from .descartes import GridSpec, NumericalInconsistencyError
+from .descartes import NumericalInconsistencyError
 from .signseq import shape_from_label
 from .vasicek import (
     ScaleRegime,
@@ -120,21 +119,11 @@ def _csv_text(header: list[str], rows) -> str:
     return buf.getvalue()
 
 
-def _grid_spec(args, model) -> GridSpec | None:
-    fields = {"x_max": args.x_max, "n_samples": args.grid_samples}
-    fields = {name: value for name, value in fields.items() if value is not None}
-    if not fields:
-        return None
-    return replace(GridSpec.for_basis(l_coefficients(model, [0.0] * model.d).basis), **fields)
-
-
 def _cmd_classify(args) -> int:
     model, embedded = _load_model(args.model)
     state = _resolve_state(model, args.z, embedded)
-    _check_horizon(model, args.x_max, "--x-max")
-    grid = _grid_spec(args, model)
     fn = classify.classify_forward if args.curve == "forward" else classify.classify_yield
-    report = fn(model, state, grid)
+    report = fn(model, state)
     _emit(_to_json(report.to_dict()), args.out)
     return EXIT_OK
 
@@ -293,8 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--z", help="state vector, comma separated")
     p.add_argument("--curve", choices=("forward", "yield"), default="forward")
-    p.add_argument("--x-max", type=float, default=None, dest="x_max")
-    p.add_argument("--grid-samples", type=int, default=None, dest="grid_samples")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("attain", help="construct parameters attaining a shape")

@@ -36,8 +36,9 @@ import numpy as np
 from .signseq import EMPTY_PURE, Sign, SignSeq, reduce as reduce_sseq
 
 #: Switch point below which the integrated-kernel basis function is
-#: evaluated by series instead of the closed form (cancellation guard).
-_G_SERIES_CUTOFF = 1e-4
+#: evaluated by series instead of the closed form, whose rounding error
+#: of about 3.4e-16 / u relative would otherwise exceed ``ZERO_EPS``.
+_G_SERIES_CUTOFF = 4e-3
 
 #: Precision (decimal digits) for interpolation minor determinants.  The
 #: minors collapse like prod (r_j - r_i) as the prescribed zeros cluster,
@@ -52,10 +53,11 @@ _MINOR_DPS = 50
 ZERO_EPS = 1e-12
 REFINE_TOL = 1e-10
 
+#: The sign scan's window: WINDOW_SAMPLES points over WINDOW_EFOLDINGS
+#: e-foldings of the slowest decay (``ExpBasis.window_end``).
+WINDOW_EFOLDINGS = 20.0
+WINDOW_SAMPLES = 4096
 MAX_BASIS_SIZE = 5
-#: Most samples a window scan may take: 2^21 samples of a 5-term basis
-#: already hold about 80 MB of basis values.
-MAX_GRID_SAMPLES = 2**21
 #: Smallest positive decay rate.  The G kind weighs each term by
 #: 1/decay^2 at infinity, which overflows below about 7.5e-155.
 MIN_DECAY = 1e-150
@@ -77,9 +79,9 @@ def _floats(values, name: str) -> tuple[float, ...]:
 class NumericalInconsistencyError(RuntimeError):
     """Scanned sign changes contradict the variation-diminishing bound.
 
-    Raised when a scan reads more sign changes than the basis allows, or
-    a change without a located zero: the grid is too coarse, or the zero
-    threshold too loose, for the polynomial at hand.
+    Raised when a scan reads more sign changes than the basis allows, a
+    change without a located zero, or a probe without a strong sign: the
+    window or the zero threshold does not fit the polynomial at hand.
     """
 
 
@@ -118,6 +120,10 @@ class ExpBasis:
         positive = [a for a in self.decays if a > 0]
         return min(positive) if positive else 1.0
 
+    @property
+    def window_end(self) -> float:
+        return WINDOW_EFOLDINGS / self.min_positive_decay
+
 
 @dataclass(frozen=True)
 class DPolynomial:
@@ -141,35 +147,6 @@ class DPolynomial:
         return eval_dpoly(self, x)
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Window and sample count of the sign scan's one window pass.
-
-    ``x_max`` must be positive and finite, and ``n_samples`` an integer
-    from 64 to ``MAX_GRID_SAMPLES``.  ``sseq_of_dpoly`` never refines the
-    grid or retries; its zero threshold and bisection tolerance are
-    ``ZERO_EPS`` and ``REFINE_TOL``.
-    """
-
-    x_max: float
-    n_samples: int = 4096
-
-    def __post_init__(self):
-        if not (self.x_max > 0 and math.isfinite(self.x_max)):
-            raise ValueError(f"x_max must be positive and finite, got {self.x_max!r}")
-        if not isinstance(self.n_samples, (int, np.integer)):
-            raise ValueError(f"n_samples must be an integer, got {self.n_samples!r}")
-        if not 64 <= self.n_samples <= MAX_GRID_SAMPLES:
-            raise ValueError(
-                f"n_samples must be from 64 to {MAX_GRID_SAMPLES}, got {self.n_samples}"
-            )
-
-    @classmethod
-    def for_basis(cls, basis: ExpBasis) -> "GridSpec":
-        """Default window: 20 e-foldings of the slowest decaying term."""
-        return cls(x_max=20.0 / basis.min_positive_decay)
-
-
 def _g_closed(u):
     """(1 - (1+u) e^-u) / u^2 for u bounded away from zero."""
     e = np.exp(-u)
@@ -177,11 +154,11 @@ def _g_closed(u):
 
 
 def _g_series(u):
-    """Taylor evaluation sum_k (-u)^k / ((k+2) k!), for |u| < 1e-4.
+    """Taylor evaluation sum_k (-u)^k / ((k+2) k!), for |u| < 4e-3.
 
-    Terms fall below 1e-18 relative by k = 4 at the cutoff.
+    Terms fall below 2e-18 relative by k = 6 at the cutoff.
     """
-    return 0.5 + u * (-1.0 / 3.0 + u * (0.125 + u * (-1.0 / 30.0 + u / 144.0)))
+    return 0.5 + u * (-1.0 / 3.0 + u * (0.125 + u * (-1.0 / 30.0 + u * (1.0 / 144.0 - u / 840.0))))
 
 
 def g_kernel_value(u: np.ndarray) -> np.ndarray:
@@ -213,7 +190,7 @@ def eval_basis_fn(kind: str, alpha: float, x):
 
     Kind 'F' is exp(-alpha x).  Kind 'G' is the integrated kernel
     x^-2 * integral_0^x y exp(-alpha y) dy, evaluated in closed form for
-    alpha*x >= 1e-4 and by series below that; the value at u = 0 is 1/2.
+    alpha*x >= 4e-3 and by series below that; the value at u = 0 is 1/2.
     A scalar x is evaluated in ``math``, an array x in numpy.
     """
     if kind not in _SCALAR_BASIS:
@@ -476,11 +453,16 @@ def _tail_signs(p: DPolynomial, x_start: float) -> tuple[list[Sign], list[float]
 
 
 def _scan_window(
-    p: DPolynomial, grid: GridSpec
+    p: DPolynomial, probes: Sequence[float]
 ) -> tuple[list[Sign], list[float], float | None]:
     """One window pass: compressed strong sample signs, refined zeros,
-    and the abscissa of the last nonzero sample."""
-    xs = np.linspace(0.0, grid.x_max, grid.n_samples)
+    and the abscissa of the last nonzero sample.  The probes join the
+    evenly spaced samples, and each must have a strong sign."""
+    xs = np.linspace(0.0, p.basis.window_end, WINDOW_SAMPLES)
+    if len(probes):
+        probes = np.sort(probes)
+        at = np.searchsorted(xs, probes)
+        xs = np.insert(xs, at, probes)
     phi = basis_values(p.basis, xs)
     coeffs = np.asarray(p.coefficients)
     # Zero threshold relative to the local sum of term magnitudes (the
@@ -491,35 +473,44 @@ def _scan_window(
     # equals the initial-sign quantity (the coefficient sum, halved for
     # the G kind), so the threshold applies there too: a boundary zero
     # must not contribute a noise-level leading sign.
-    signs, brackets, last_x = _strong_signs(xs, coeffs @ phi, np.abs(coeffs) @ phi)
+    vals, mag = coeffs @ phi, np.abs(coeffs) @ phi
+    if len(probes):
+        at += np.arange(at.size)
+        weak = at[np.abs(vals[at]) <= ZERO_EPS * mag[at]]
+        if weak.size:
+            raise NumericalInconsistencyError(
+                f"probe x = {float(xs[weak[0]])!r} has no strong sign"
+            )
+    signs, brackets, last_x = _strong_signs(xs, vals, mag)
     zeros = [_bisect_zero(p, lo, hi, flo, REFINE_TOL) for lo, hi, flo in brackets]
     return signs, zeros, last_x
 
 
 def sseq_of_dpoly(
-    p: DPolynomial, grid: GridSpec | None = None
+    p: DPolynomial, probes: Sequence[float] = ()
 ) -> tuple[SignSeq, list[float]]:
     """Reduced sign sequence of a D-polynomial on [0, inf), with zeros.
 
-    One pass samples [0, x_max] and refines each bracketed strong sign
-    change by bisection.  A second pass scans a rescaled form of
-    (x_max, inf) out to the bound where the slowest term provably
-    dominates, so the analytic terminal sign closes the sequence.  There
-    is no retry: by variation diminishing the polynomial has at most
-    len(basis) - 1 sign changes, each at a zero, so a reduced sequence
-    with more changes than that, or with a change not matched by a
-    located zero, raises NumericalInconsistencyError.
+    One pass samples [0, ``p.basis.window_end``] at ``WINDOW_SAMPLES``
+    evenly spaced points plus ``probes``, and bisects each bracketed
+    strong sign change.  A second pass scans a rescaled form of the rest
+    out to the bound where the slowest term provably dominates, so the
+    analytic terminal sign closes the sequence.  By variation
+    diminishing the polynomial has at most len(basis) - 1 sign changes,
+    each at a zero.  So a caller that knows one point strictly inside
+    each sign stretch passes those as probes, and they bracket every
+    zero however close.  More changes than that bound, a change without
+    a located zero, or a probe without a strong sign raises
+    NumericalInconsistencyError; there is no retry.
     """
     if p.is_zero:
         return EMPTY_PURE, []
-    if grid is None:
-        grid = GridSpec.for_basis(p.basis)
 
-    compressed, zeros, last_x = _scan_window(p, grid)
+    compressed, zeros, last_x = _scan_window(p, probes)
     # Hand the tail scan over at the last super-threshold sample: the
-    # raw values may sink below the window threshold before x_max, and
-    # the rescaled tail form sees through that shadow.
-    x_start = last_x if last_x else grid.x_max / (grid.n_samples - 1)
+    # raw values may sink below the window threshold before the window
+    # end, and the rescaled tail form sees through that shadow.
+    x_start = last_x if last_x else p.basis.window_end / (WINDOW_SAMPLES - 1)
     tail_signs, tail_zeros = _tail_signs(p, x_start)
     term = terminal_sign(p)
     signs = compressed + tail_signs
@@ -532,7 +523,7 @@ def sseq_of_dpoly(
         raise NumericalInconsistencyError(
             f"sign scan of {len(p.basis)}-term polynomial is inconsistent: "
             f"{changes} changes vs {len(zeros)} located zeros "
-            f"(window {grid.x_max:g}, {grid.n_samples} samples)"
+            f"(window {p.basis.window_end:g}, {WINDOW_SAMPLES} samples)"
         )
     return sseq, zeros
 

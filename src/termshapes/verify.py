@@ -42,6 +42,7 @@ from .descartes import (
     ExpBasis,
     F_KIND,
     G_KIND,
+    WINDOW_EFOLDINGS,
     _stability_radius,
     interpolate_prescribed_zeros,
     perturb_coefficients,
@@ -276,8 +277,8 @@ def _scan_curves(
     """(first sign, change count) per row for the requested curves.
 
     Both basis functions depend only on u = decay * x, so u is scanned on
-    the row-normalised window x <= 20 / min decay and the single exp per
-    slot feeds both curves.  Every row is scaled so that slot 0, the
+    the window x <= ``WINDOW_EFOLDINGS`` / min decay and the single exp
+    per slot feeds both curves.  Every row is scaled so that slot 0, the
     slowest, has float32 decay exactly 20.  ``decays`` is (n, k), or one
     shared row (k,) for a fixed model.  A slot whose float32 scaled decay
     is equal in every row (slot 0, a sweep's 2 lambda_1 slot at exactly
@@ -312,7 +313,7 @@ def _scan_curves(
     if n == 0:
         return out
     m = BATCH_SAMPLES
-    d = decays * (20.0 / decays[..., :1])
+    d = decays * (WINDOW_EFOLDINGS / decays[..., :1])
     if not np.all(d < np.sqrt(_FLOAT32_SAFE)):
         raise ValueError("decay rates spread too widely for the float32 batch scan")
     d = np.atleast_2d(d.astype(np.float32))

@@ -160,7 +160,8 @@ class TestAttainCommand:
         assert cli.main(["attain", "--model", separated_file, "--shape", "HD"]) == 3
 
     def test_unverifiable_extrema_exit_3(self, separated_file, capsys):
-        # Extrema 1e-7 apart are too close for the verification grid.
+        # Extrema 1e-7 apart are too close to verify: the stretch point
+        # between them has no strong sign in float64.
         argv = ["attain", "--model", separated_file, "--shape", "HD",
                 "--extrema", "1,1.0000001"]
         assert cli.main(argv) == 3
@@ -318,10 +319,6 @@ class TestOutOfRangeArguments:
         [
             (["curves", "--x-max=-1e308"], 2),
             (["curves", "--x-max=inf"], 2),
-            (["classify", "--x-max=nan"], 2),
-            (["classify", "--x-max=1e308"], 2),
-            (["classify", "--grid-samples=2097153"], 2),
-            (["classify", "--grid-samples=1000000000000"], 2),
             (["simulate", "--shape=HD", "--paths=5", "--t=nan"], 2),
             (["simulate", "--shape=HD", "--paths=5", "--z=1e40,0"], 2),
             (["map", "--grid=nan:0.1:3,0:0.1:3"], 2),
@@ -341,3 +338,8 @@ class TestOutOfRangeArguments:
         assert cli.main([argv[0], *model, *argv[1:]]) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_classify_takes_no_grid_flags(self, separated_file, capsys):
+        # The sign scan's window is fixed; curves --x-max is a plotting range.
+        assert cli.main(["classify", "--model", separated_file, "--x-max", "1"]) == 2
+        assert "unrecognized arguments: --x-max 1" in capsys.readouterr().err

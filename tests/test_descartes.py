@@ -12,7 +12,6 @@ from termshapes import signseq as ss
 from termshapes.descartes import (
     DPolynomial,
     ExpBasis,
-    GridSpec,
     coef_inequality_value,
     coef_ratio_limit,
     det_system,
@@ -77,16 +76,29 @@ class TestBasisFn:
 
     def test_series_branch_matches_closed_form(self):
         # both branches evaluated at the same point, straddling the switch
-        for u in (0.5e-4, 0.99e-4, 1.01e-4, 1e-3):
+        for u in (1e-3, 3.96e-3, 4.04e-3, 1e-2):
             series = dc._g_series(u)
             closed = float(dc._g_closed(np.array([u]))[0])
             assert series == pytest.approx(closed, rel=1e-11)
 
+    def test_integrated_matches_40_digit_reference(self):
+        # The closed form loses about 3.4e-16 / u relative to cancellation,
+        # so the series must take over before that passes 1e-13.
+        import mpmath as mp
+
+        us = np.geomspace(1e-7, 1e-1, 2001)
+        with mp.workdps(40):
+            ref = [float((1 - (1 + mp.mpf(u)) * mp.exp(-mp.mpf(u))) / mp.mpf(u) ** 2) for u in us]
+        arr = dc.g_kernel_value(us)
+        for u, want, got in zip(us, ref, arr):
+            assert abs(dc._g_scalar(float(u)) - want) <= 1e-13 * want
+            assert abs(got - want) <= 1e-13 * want
+
     def test_array_matches_scalar(self):
         # u = alpha * x; the integrated kind switches from series to
-        # closed form at u = 1e-4, and the points straddle it
+        # closed form at u = 4e-3, and the points straddle it
         alpha = 0.8
-        us = np.array([0.0, 8e-7, 0.5e-4, 0.99e-4, 1.01e-4, 2e-4, 0.08, 1.6, 32.0])
+        us = np.array([0.0, 8e-7, 2e-3, 3.96e-3, 4.04e-3, 8e-3, 0.08, 1.6, 32.0])
         xs = us / alpha
         for kind in ("F", "G"):
             arr = eval_basis_fn(kind, alpha, xs)
@@ -177,12 +189,12 @@ class TestDPolyEval:
                 for zeros in (np.sort(rng.uniform(0.05, 5.0, 3)),
                               0.5 + 10.0 ** -rng.integers(1, 5) * np.arange(3)):
                     sseq_of_dpoly(interpolate_prescribed_zeros(basis, zeros))
-                # a zero at the faster term's series cutoff x = 1e-4 / decay,
-                # so its bracket ends lie on both sides of it
+                # a zero at the faster term's series cutoff; the window's
+                # first sample past 0 has u >= 20 / 4095 > 4e-3 for that
+                # term, so the bracket ends lie on both sides of the cutoff
                 pair = ExpBasis(kind, decays[::3])
-                cutoffs = 1e-4 / np.array(pair.decays)
-                p = interpolate_prescribed_zeros(pair, cutoffs[:1])
-                sseq_of_dpoly(p, GridSpec(x_max=4.0 * cutoffs[1]))
+                p = interpolate_prescribed_zeros(pair, [dc._G_SERIES_CUTOFF / pair.decays[0]])
+                sseq_of_dpoly(p)
         assert len(brackets) > 200
         for p, lo, hi, flo in brackets:
             assert np.sign(eval_dpoly(p, lo)) == np.sign(flo)
@@ -242,6 +254,20 @@ class TestEndpointSigns:
 
 
 class TestSseqOfDpoly:
+    def test_window_tracks_slowest_decay(self):
+        assert ExpBasis("F", (4.0, 0.25)).window_end == pytest.approx(80.0)
+
+    def test_probes_bracket_zeros_closer_than_the_window_spacing(self):
+        # The window's spacing is 20 / 4095 here, and the pair is 1e-5
+        # apart: one probe inside each sign stretch resolves it.
+        p = interpolate_prescribed_zeros(ExpBasis("F", (3.0, 2.0, 1.0)), [1.0, 1.00001])
+        assert sseq_of_dpoly(p) == (SignSeq.parse("+"), [])
+        seq, zeros = sseq_of_dpoly(p, [1.5, 0.5, 1.000005])
+        assert seq == SignSeq.parse("+-+")
+        assert zeros == pytest.approx([1.0, 1.00001], abs=1e-9)
+        with pytest.raises(dc.NumericalInconsistencyError, match="probe x = 1.0 has no"):
+            sseq_of_dpoly(p, [0.5, 1.0, 1.5])
+
     def test_single_positive_term(self):
         p = DPolynomial(ExpBasis("F", (1.0,)), (1.0,))
         seq, zeros = sseq_of_dpoly(p)
@@ -614,34 +640,6 @@ class TestPerturbation:
         p = DPolynomial(ExpBasis("F", (2.0, 1.0)), (1.0, -1.0))
         with pytest.raises(ValueError, match="probe point landed on a zero"):
             perturbation_delta(p)
-
-
-class TestGridSpec:
-    def test_default_window_tracks_slowest_decay(self):
-        grid = GridSpec.for_basis(ExpBasis("F", (4.0, 0.25)))
-        assert grid.x_max == pytest.approx(80.0)
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            GridSpec(x_max=0.0)
-        with pytest.raises(ValueError):
-            GridSpec(x_max=1.0, n_samples=8)
-
-    @pytest.mark.parametrize(
-        "x_max,n_samples",
-        [(math.nan, 4096), (math.inf, 4096), (10.0, 100.5), (10.0, "4096"), (10.0, None)],
-    )
-    def test_rejects_non_finite_window_and_non_integral_count(self, x_max, n_samples):
-        with pytest.raises(ValueError, match="must be positive and finite|must be an integer"):
-            GridSpec(x_max=x_max, n_samples=n_samples)
-
-    def test_sample_count_is_capped(self):
-        cap = dc.MAX_GRID_SAMPLES
-        assert cap == 2**21
-        assert GridSpec(x_max=10.0, n_samples=cap).n_samples == cap
-        for n in (cap + 1, 10**12):
-            with pytest.raises(ValueError, match=f"from 64 to {cap}"):
-                GridSpec(x_max=10.0, n_samples=n)
 
 
 class TestBasisValidation:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -55,10 +56,15 @@ def mostly(good, bad):
     return st.integers(0, 3).flatmap(lambda k: bad if k == 0 else good)
 
 
-#: Increasing extrema a quarter apart or more, so that verifying them
-#: needs a small grid.
-extrema_lists = st.lists(st.integers(1, 40), min_size=1, max_size=4, unique=True).map(
-    lambda ks: [k / 4 for k in sorted(ks)])
+#: Increasing extrema: a quarter apart or more, or clustered, with gaps
+#: drawn log-uniformly from [1e-9, 1] after a first extremum in [0.05, 10].
+extrema_lists = st.one_of(
+    st.lists(st.integers(1, 40), min_size=1, max_size=4, unique=True).map(
+        lambda ks: [k / 4 for k in sorted(ks)]),
+    st.tuples(st.floats(0.05, 10.0), st.lists(st.floats(-9.0, 0.0), max_size=3)).map(
+        lambda first_gaps: list(itertools.accumulate(
+            [first_gaps[0], *(10.0 ** e for e in first_gaps[1])]))),
+)
 
 
 def _only_documented(call) -> None:
@@ -197,8 +203,6 @@ def argvs(draw, d):
         add("--z", mostly(state, csv_of(st.floats(-0.3, 0.3), 3)))
     if command == "classify":
         add("--curve", curve)
-        add("--x-max", mostly(st.floats(0.5, 100.0), numbers))
-        add("--grid-samples", mostly(st.integers(64, 300), size))
     elif command == "attain":
         add("--shape", shape, optional=False)
         add("--curve", curve)
