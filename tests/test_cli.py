@@ -339,7 +339,17 @@ class TestOutOfRangeArguments:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_classify_takes_no_grid_flags(self, separated_file, capsys):
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--x-max", "1"],
+            ["--x-max=nan"],
+            ["--x-max=1e308"],
+            ["--grid-samples=2097153"],
+            ["--grid-samples=1000000000000"],
+        ],
+    )
+    def test_classify_takes_no_grid_flags(self, separated_file, capsys, flags):
         # The sign scan's window is fixed; curves --x-max is a plotting range.
-        assert cli.main(["classify", "--model", separated_file, "--x-max", "1"]) == 2
-        assert "unrecognized arguments: --x-max 1" in capsys.readouterr().err
+        assert cli.main(["classify", "--model", separated_file, *flags]) == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err

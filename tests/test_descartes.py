@@ -257,6 +257,15 @@ class TestSseqOfDpoly:
     def test_window_tracks_slowest_decay(self):
         assert ExpBasis("F", (4.0, 0.25)).window_end == pytest.approx(80.0)
 
+    @pytest.mark.parametrize(
+        "basis,end",
+        [(ExpBasis("G", (2.0, 0.5, 0.0)), 40.0), (ExpBasis("F", (0.0,)), 20.0)],
+    )
+    def test_window_ignores_zero_decay(self, basis, end):
+        # A zero decay never decays; the window spans the slowest positive
+        # one, or 20 units when there is none.
+        assert basis.window_end == pytest.approx(end)
+
     def test_probes_bracket_zeros_closer_than_the_window_spacing(self):
         # The window's spacing is 20 / 4095 here, and the pair is 1e-5
         # apart: one probe inside each sign stretch resolves it.
