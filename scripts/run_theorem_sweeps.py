@@ -2,7 +2,10 @@
 """Run the randomized shape-classification sweeps, one per regime and
 correlation class, and print a compact summary table.
 
-Any confirmed violation dumps the offending model/state for replay.
+Each line also gives, per curve, the share of rows that the
+coefficient certificate (``verify._certify``) decides without the
+float32 grid, on the sweep's rows regenerated from its seed.  Any
+confirmed violation dumps the offending model/state for replay.
 """
 
 from __future__ import annotations
@@ -11,6 +14,9 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
+from termshapes import verify
 from termshapes.vasicek import ScaleRegime
 from termshapes.verify import SweepConfig, sweep_theorem
 
@@ -21,6 +27,15 @@ SWEEPS = [
     (ScaleRegime.PROXIMAL, "negative"),
     (ScaleRegime.CRITICAL, "any"),
 ]
+
+
+def decided_shares(cfg: SweepConfig) -> dict[str, float]:
+    """Per curve, the share of the sweep's rows the certificate decides."""
+    inst = verify.sample_instances(cfg, np.random.default_rng(cfg.seed), cfg.n_samples)
+    decays, coeffs = verify._slot_arrays(inst, cfg.regime)
+    term = {c: verify._terminal_signs(decays, coeffs, k) for c, k in verify._KIND.items()}
+    _, _, decided = verify._certify(decays, coeffs, term, np.abs(coeffs).sum(axis=1))
+    return {curve: float(rows.mean()) for curve, rows in decided.items()}
 
 
 def main() -> int:
@@ -48,9 +63,11 @@ def main() -> int:
                 report.forward_histogram.items(), key=lambda kv: -kv[1]
             )
         )
+        shares = decided_shares(cfg)
         print(
             f"{regime.value:9s} rho {rho_class:11s} {report.samples:7d} samples "
-            f"{report.runtime_seconds:6.1f}s  {status}  forward: {hist}"
+            f"{report.runtime_seconds:6.1f}s  {status}  decided forward "
+            f"{shares['forward']:.1%} yield {shares['yield']:.1%}  forward: {hist}"
         )
         if not report.passed:
             dumps.append(report.to_dict())

@@ -19,9 +19,8 @@ sequence of the function is a subsequence of the coefficient sign
 sequence.  Interpolation with prescribed zeroes, carried out through
 minor determinants, produces the extremal D-polynomials used to realise
 curve shapes; the coefficients then alternate in sign starting with
-plus.  Supporting pieces: Vandermonde products, the g-system Wronskian
-at zero, small-zero limits of coefficient ratios, and a perturbation
-bound below which coefficient noise cannot alter the sign sequence.
+plus.  A perturbation bound gives the coefficient noise below which
+the sign sequence cannot change.
 """
 
 from __future__ import annotations
@@ -206,28 +205,6 @@ def basis_values(basis: ExpBasis, x) -> np.ndarray:
     """Matrix of basis-function values, shape (len(basis), len(x))."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     return np.stack([eval_basis_fn(basis.kind, a, xs) for a in basis.decays])
-
-
-def det_system(basis: ExpBasis, xs: Sequence[float]) -> float:
-    """Determinant of the collocation matrix at strictly increasing xs.
-
-    Row i, column j holds the j-th basis function at ``xs[i]``; with
-    m = len(xs) <= len(basis), the first m basis functions are used.
-    Evaluated by pivoted elimination.  Strict positivity for every
-    choice of increasing xs is the Descartes property.
-    """
-    xs = [float(x) for x in xs]
-    m = len(xs)
-    if m == 0 or m > len(basis):
-        raise ValueError("need 1 <= len(xs) <= len(basis)")
-    if any(x2 <= x1 for x1, x2 in zip(xs, xs[1:])):
-        raise ValueError("xs must be strictly increasing")
-    mat = np.array(
-        [[eval_basis_fn(basis.kind, a, x) for a in basis.decays[:m]] for x in xs]
-    )
-    if m == 1:
-        return float(mat[0, 0])
-    return float(np.linalg.det(mat))
 
 
 def eval_dpoly(p: DPolynomial, x):
@@ -612,64 +589,6 @@ def interpolate_prescribed_zeros(
     if scale == 0:
         raise NumericalInconsistencyError("interpolation minors all vanished")
     return DPolynomial(basis, tuple(c / scale for c in coeffs))
-
-
-def vandermonde(gammas: Sequence[float]) -> float:
-    """prod_{i<j} (gamma_j - gamma_i); zero on repeated nodes."""
-    g = [float(x) for x in gammas]
-    out = 1.0
-    for i in range(len(g)):
-        for j in range(i + 1, len(g)):
-            out *= g[j] - g[i]
-    return out
-
-
-def wronskian_g_at_zero(alphas: Sequence[float]) -> float:
-    """Wronskian at zero of the integrated-kernel system, Descartes order.
-
-    ``alphas`` are given strictly increasing; the system lists the
-    largest decay first.  Row derivatives follow from the series:
-    the j-th derivative of g_a at zero is (-a)^j / (j + 2).  Strict
-    positivity certifies the Descartes ordering of the g-family.
-    """
-    a = [float(x) for x in alphas]
-    if any(y <= x for x, y in zip(a, a[1:])):
-        raise ValueError("alphas must be strictly increasing")
-    k = len(a)
-    rows = list(reversed(a))
-    mat = np.array([[(-alpha) ** j / (j + 2) for j in range(k)] for alpha in rows])
-    if k == 1:
-        return float(mat[0, 0])
-    return float(np.linalg.det(mat))
-
-
-def coef_ratio_limit(basis: ExpBasis, i: int, j: int) -> float:
-    """Limit of a_i / a_j for interpolation coefficients as the zeros
-    shrink to the origin.
-
-    ``i`` and ``j`` are 1-based positions in the basis (decays listed
-    decreasing).  As the prescribed zeros cluster at the origin, each
-    minor determinant approaches the Wronskian of its function subset at
-    zero, which for these bases is a Vandermonde in the decays (up to
-    column scalings that cancel in the ratio).  The ratio of the two
-    punctured Vandermonde products is therefore the limit, for both
-    basis kinds:
-
-        (-1)^(i-j) * prod_{k != i,j} |d_k - d_j| / |d_k - d_i|.
-    """
-    n = len(basis)
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError("indices must lie in 1..len(basis)")
-    if i == j:
-        return 1.0
-    d = basis.decays
-    di, dj = d[i - 1], d[j - 1]
-    ratio = 1.0
-    for k in range(n):
-        if k in (i - 1, j - 1):
-            continue
-        ratio *= abs(d[k] - dj) / abs(d[k] - di)
-    return (-1.0) ** (i - j) * ratio
 
 
 def _coefficient_at_decay(p: DPolynomial, decay: float) -> float:

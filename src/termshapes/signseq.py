@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class Sign(IntEnum):
@@ -125,29 +125,6 @@ def head_subsequence(a: SignSeq, b: SignSeq) -> bool:
     if rb.is_empty:
         return False
     return ra.signs[0] is rb.signs[0] and subsequence(ra, rb)
-
-
-def tail_subsequence(a: SignSeq, b: SignSeq) -> bool:
-    """Subsequence relation that also preserves the terminal sign."""
-    ra, rb = reduce(a), reduce(b)
-    if ra.is_empty:
-        return True
-    if rb.is_empty:
-        return False
-    return ra.signs[-1] is rb.signs[-1] and subsequence(ra, rb)
-
-
-def sseq_of_samples(values: Sequence[float], eps: float) -> SignSeq:
-    """Reduced sign sequence of sampled function values.
-
-    Magnitudes <= eps are treated as zero, so only strong sign changes
-    survive.  All-zero input yields the empty-pure marker.
-    """
-    if len(values) == 0:
-        raise ValueError("values must be non-empty")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    return reduce(SignSeq(tuple(Sign.of(v, eps) for v in values)))
 
 
 @dataclass(frozen=True)

@@ -324,25 +324,6 @@ def m_coefficients(model: VasicekModel, z) -> DPolynomial:
     return DPolynomial(ExpBasis(G_KIND, decays), coeffs)
 
 
-def l_eval_direct(model: VasicekModel, z, x):
-    """Forward-curve derivative evaluated from the loadings directly.
-
-    Independent of the D-polynomial path; used for cross-validation.
-    """
-    state = np.array(as_state(z, model.d))
-    xs = np.asarray(x, dtype=float)
-    lam = np.array(model.lam)
-    kap = np.array(model.kappa)
-    cov = model.covariance()
-    mu = model.mu
-    b = B(model, xs)
-    if xs.ndim == 0:
-        bp = -kap * np.exp(-lam * float(xs))
-        return float(-mu @ bp - b @ cov @ bp + (state * lam) @ bp)
-    bp = -kap[:, None] * np.exp(-lam[:, None] * xs[None, :])
-    return -mu @ bp - np.einsum("it,ij,jt->t", b, cov, bp) + (state * lam) @ bp
-
-
 def yield_curve(model: VasicekModel, z, x):
     """Zero-coupon yield Y(x; z), with Y(0) = f(0) by continuity.
 

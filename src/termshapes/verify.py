@@ -8,18 +8,18 @@ curve's.  Strict attainability is probed by exact Ornstein-Uhlenbeck
 transition sampling from a constructed state, and the perturbation
 bound is exercised on random extremal interpolants.
 
-Sweeps use a vectorised scan: both basis functions depend only on
-u = decay * x, so rescaling x by the row's window maps every instance
-onto one shared grid.  A slot whose scaled decay is the same in every
-row (every slot of a fixed model, as in Monte Carlo draws and state
-maps) is sampled once per call, not once per row.  Each row yields the
-first sign and the strong change count of its reduced sign sequence,
-which determine the pure sequence, hence the shape.  float32 only
-decides rows whose every sample it can sign; a row with a sample near
-zero takes its sequence from the careful scan of its own float64
-polynomial, so ``descartes.ZERO_EPS`` is the one rule for what counts
-as zero.  Any apparent violation is re-checked with the careful scalar
-classifier before it is reported.
+Each batch row yields the first sign and the strong change count of
+its reduced sign sequence, which determine the pure sequence, hence the
+shape.  Most rows are decided from their coefficients alone: the
+kernels are Descartes systems, so Laguerre's rule bounds the zero count
+by the sign changes of the coefficients and of their partial sums, and
+the signs at 0 and at infinity fix its parity.  The rest go to a
+float32 scan of one shared grid in u = decay * x; it only decides rows
+whose every sample it can sign, and a row with a sample near zero takes
+its sequence from the careful scan of its own float64 polynomial, so
+``descartes.ZERO_EPS`` is the one rule for what counts as zero.  Any
+apparent violation is re-checked with the careful scalar classifier
+before it is reported.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .descartes import (
     F_KIND,
     G_KIND,
     WINDOW_EFOLDINGS,
+    ZERO_EPS,
     _stability_radius,
     interpolate_prescribed_zeros,
     perturb_coefficients,
@@ -57,6 +58,7 @@ RhoClassOption = Literal["nonnegative", "negative", "any"]
 BATCH_SAMPLES = 512
 #: Rows per float32 pass: a (rows, 512) array is 512 KB at 256 rows.
 _CHUNK = 256
+_KIND = {"forward": F_KIND, "yield": G_KIND}  # each curve's kernel
 #: Bound on a row's coefficient magnitude sum and on the square of its
 #: largest scaled decay (G divides by u^2): the float32 sums and samples
 #: then stay finite, with room for rounding.
@@ -269,6 +271,34 @@ def _basis_samples(d: np.ndarray, t: np.ndarray, curves: tuple[str, ...], out=No
     return samples
 
 
+def _certify(decays: np.ndarray, coeffs: np.ndarray, term: dict, abs_sum: np.ndarray) -> tuple:
+    """(first sign, bound B, decided rows per curve of ``term``, which maps
+    curves to terminal signs).  B is V where a partial sum is within
+    ``ZERO_EPS`` * ``abs_sum``; first is 0 unless sum a clears that floor,
+    and G's sum a_j / d_j^2 must clear ZERO_EPS * sum |a_j| / d_j^2."""
+    n = coeffs.shape[0]
+    v, p, last, prev = np.zeros((4, n), dtype=np.int8)
+    partial, weighted = np.zeros(n), np.zeros((2, n))  # weighted: sum a_j / d_j^2, |.|
+    weak, floor = np.zeros(n, dtype=bool), ZERO_EPS * abs_sum
+    for j, a in enumerate(coeffs.T):
+        s = np.sign(a).astype(np.int8)
+        v += s * last < 0
+        np.copyto(last, s, where=s != 0)
+        partial += a
+        weak |= np.abs(partial) <= floor
+        s = np.sign(partial).astype(np.int8)
+        p += s * prev < 0
+        prev = s
+        if "yield" in term:
+            w = a / (decays[..., j] * decays[..., j])
+            weighted += (w, np.abs(w))
+    first = np.where(np.abs(partial) > floor, prev, 0).astype(np.int8)
+    bound = np.where(weak, v, np.minimum(v, p))
+    clear = {"forward": True, "yield": np.abs(weighted[0]) > ZERO_EPS * weighted[1]}
+    return first, bound, {c: (first != 0) & (bound - (first != t) < 2) & clear[c]
+                          for c, t in term.items()}
+
+
 def _scan_curves(
     decays: np.ndarray,
     coeffs: np.ndarray,
@@ -276,63 +306,68 @@ def _scan_curves(
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """(first sign, change count) per row for the requested curves.
 
-    Both basis functions depend only on u = decay * x, so u is scanned on
-    the window x <= ``WINDOW_EFOLDINGS`` / min decay and the single exp
-    per slot feeds both curves.  Every row is scaled so that slot 0, the
-    slowest, has float32 decay exactly 20.  ``decays`` is (n, k), or one
-    shared row (k,) for a fixed model.  A slot whose float32 scaled decay
-    is equal in every row (slot 0, a sweep's 2 lambda_1 slot at exactly
-    40, every slot of a critical sweep or fixed model) is sampled once
-    per call, the others once per chunk.  G's series branch (u < 0.25)
-    only reaches the first few columns, since u >= 20 t.  Rows go through
-    in float32 chunks of ``_CHUNK`` that write into near-cache-size
-    (chunk, ``BATCH_SAMPLES``) workspaces made once per call.  A sample
-    adds its products a_j b_j in slot order: one ``np.einsum`` over the
-    leading run of shared slots, which adds in that order without
-    fusing, then product-then-add per later slot, bit for bit the
-    slot-by-slot sum (a GEMM would reorder it).  The x = 0 column is
-    exact (coefficient sum, halved for the yield kind).  Tails close with
-    the analytic terminal signs.
-
-    float32 signs a sample whose magnitude exceeds 1e-6 of its magnitude
-    sum vm = sum_j |a_j| b_j.  Every basis sample is at most slot 0's,
-    so vm <= abs_sum * b_0, and a sample with |v| > 2e-6 * abs_sum * b_0
-    keeps the sign of v; the factor 2 covers float32 rounding, and at
-    x = 0 the bound reads half * abs_sum.  Only rows with a sample
-    inside that bound build vm, in the same slot order as v.  A row with
-    a sample at or below 1e-6 * vm (or NaN) is deferred: its first sign
-    and change count come from ``sseq_of_dpoly`` on its own float64
-    polynomial (F kind for forward, G for yield), each distinct row
-    scanned once per call.  A row whose magnitude sum, or squared
-    largest scaled decay, is not below ``_FLOAT32_SAFE`` raises
-    ValueError; a deferred row the careful scan cannot resolve raises
-    ``NumericalInconsistencyError``.
+    ``decays`` is (n, k), or a shared row (k,), in increasing-decay
+    columns.  The kernels are Descartes systems: l has at most V zeros on
+    (0, inf), V the coefficient sign changes, and by Laguerre's rule at
+    most P, those of the partial sums a_0 + ... + a_j; m has no more than
+    l, as M = x^2 m has M(0) = 0 and M' = x l (Rolle).  A count has the
+    parity of [first != terminal sign], so ``_certify`` decides the rows
+    whose B = min(V, P) is below that parity plus 2.  The rest go to
+    ``_grid_scan`` as one compacted subarray (a shared decay row stays
+    shared), whose answers each curve takes where it was left undecided.
+    A row whose magnitude sum, or squared largest scaled decay, is not
+    below ``_FLOAT32_SAFE`` raises ValueError, certified or not.
     """
+    if not np.all(decays * (WINDOW_EFOLDINGS / decays[..., :1]) < np.sqrt(_FLOAT32_SAFE)):
+        raise ValueError("decay rates spread too widely for the float32 batch scan")
+    abs_sum = np.sum(np.abs(coeffs), axis=1)
+    if not np.all(abs_sum < _FLOAT32_SAFE):
+        raise ValueError("curve coefficients exceed the float32 range of the batch scan")
+    term = {c: _terminal_signs(decays, coeffs, _KIND[c]) for c in curves}
+    first, _, decided = _certify(decays, coeffs, term, abs_sum)
+    out = {c: (np.where(ok, first, 0).astype(np.int8), (ok & (first != term[c])).astype(np.int32))
+           for c, ok in decided.items()}
+    rows = np.flatnonzero(~np.logical_and.reduce(list(decided.values())))
+    if rows.size:
+        sub = decays if decays.ndim == 1 else decays[rows]
+        grid = _grid_scan(sub, coeffs[rows], abs_sum[rows], {c: term[c][rows] for c in curves})
+        for c in curves:
+            pick = ~decided[c][rows]
+            out[c][0][rows[pick]], out[c][1][rows[pick]] = grid[c][0][pick], grid[c][1][pick]
+    return out
+
+
+def _grid_scan(decays: np.ndarray, coeffs: np.ndarray, abs_sum: np.ndarray, term: dict) -> dict:
+    """(first sign, change count) per row by the float32 grid, for the
+    curves of ``term``, which maps them to their analytic terminal signs.
+
+    Rows are scaled so that slot 0 has float32 decay 20 and sampled at
+    u = decay * x over x <= ``WINDOW_EFOLDINGS`` / min decay; a slot equal
+    in every row is sampled once per call, the others per ``_CHUNK`` rows.
+    Samples add a_j b_j in slot order (``np.einsum`` over the leading
+    shared slots, which does not fuse, then product-then-add).  A sample
+    with |v| > 2e-6 * abs_sum * b_0 keeps its float32 sign; rows with a
+    sample inside that bound build vm = sum_j |a_j| b_j, and a row with a
+    sample at or below 1e-6 * vm (or NaN) is deferred to ``sseq_of_dpoly``
+    on its float64 polynomial, once per distinct row; one that scan
+    cannot resolve raises ``NumericalInconsistencyError``.
+    """
+    curves = tuple(term)
     n, k = coeffs.shape
     out = {c: (np.zeros(n, dtype=np.int8), np.zeros(n, dtype=np.int32)) for c in curves}
-    if n == 0:
-        return out
     m = BATCH_SAMPLES
-    d = decays * (WINDOW_EFOLDINGS / decays[..., :1])
-    if not np.all(d < np.sqrt(_FLOAT32_SAFE)):
-        raise ValueError("decay rates spread too widely for the float32 batch scan")
-    d = np.atleast_2d(d.astype(np.float32))
+    d = np.atleast_2d((decays * (WINDOW_EFOLDINGS / decays[..., :1])).astype(np.float32))
     shared = np.all(d == d[0], axis=0)
     lead = int(np.logical_and.accumulate(shared).sum())
     t = np.linspace(0.0, 1.0, m)[1:].astype(np.float32)
     table = _basis_samples(d[0], t, curves)  # (k, m - 1); read at shared slots only
     half = {"forward": 1.0, "yield": 0.5}
-    kind = {"forward": F_KIND, "yield": G_KIND}
     # Per unit of abs_sum, the bound at x = 0 and along t.
     ceiling = {
         c: np.float32(2e-6) * np.concatenate((np.float32([half[c]]), table[c][0])) for c in curves
     }
-    abs_sum = np.sum(np.abs(coeffs), axis=1)
-    if not np.all(abs_sum < _FLOAT32_SAFE):
-        raise ValueError("curve coefficients exceed the float32 range of the batch scan")
     coef_sum = np.sum(coeffs, axis=1).astype(np.float32)
     abs_sum = abs_sum.astype(np.float32)
-    term = {c: _terminal_signs(decays, coeffs, kind[c]) for c in curves}
     deferred = {c: np.zeros(n, dtype=bool) for c in curves}
     # Workspaces: per-curve sums, product scratch and, when a slot varies by
     # row, u, exp and G.  glibc keeps one block this size on the heap between
@@ -384,7 +419,7 @@ def _scan_curves(
             both = np.concatenate((np.broadcast_to(decays, coeffs.shape)[rows], coeffs[rows]), 1)
             uniq, inverse = np.unique(both, axis=0, return_inverse=True)
             careful = np.array(
-                [_careful_first_changes(kind[curve], r[:k], r[k:]) for r in uniq]
+                [_careful_first_changes(_KIND[curve], r[:k], r[k:]) for r in uniq]
             )
             out[curve][0][rows], out[curve][1][rows] = careful[inverse.reshape(-1)].T
     return out

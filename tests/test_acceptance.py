@@ -13,6 +13,7 @@ import time
 import numpy as np
 
 from conftest import draw_models
+from lemmas import det_system, l_eval_direct
 from termshapes import classify as cl
 from termshapes import signseq as ss
 from termshapes import verify as vf
@@ -21,7 +22,6 @@ from termshapes.descartes import (
     DPolynomial,
     ExpBasis,
     coef_inequality_value,
-    det_system,
     eval_basis_fn,
     eval_dpoly,
     interpolate_prescribed_zeros,
@@ -31,7 +31,6 @@ from termshapes.signseq import Sign, SignSeq, shape_from_label
 from termshapes.vasicek import (
     ScaleRegime,
     VasicekModel,
-    l_eval_direct,
     m_coefficients,
 )
 

@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from lemmas import coef_ratio_limit, det_system, sseq_of_samples, vandermonde, wronskian_g_at_zero
 from termshapes import descartes as dc
 from termshapes import signseq as ss
 from termshapes.descartes import (
     DPolynomial,
     ExpBasis,
     coef_inequality_value,
-    coef_ratio_limit,
-    det_system,
     eval_basis_fn,
     eval_dpoly,
     initial_sign,
@@ -24,8 +23,6 @@ from termshapes.descartes import (
     perturbation_directions,
     sseq_of_dpoly,
     terminal_sign,
-    vandermonde,
-    wronskian_g_at_zero,
 )
 from termshapes.signseq import Sign, SignSeq
 
@@ -288,7 +285,7 @@ class TestSseqOfDpoly:
         seq, zeros = sseq_of_dpoly(p)
         xs = np.linspace(0.0, 20.0, 1_000_000)
         vals = eval_dpoly(p, xs)
-        oracle = ss.sseq_of_samples(vals, 1e-12 * float(np.max(np.abs(vals))))
+        oracle = sseq_of_samples(vals, 1e-12 * float(np.max(np.abs(vals))))
         assert seq == oracle == SignSeq.parse("+-")
         assert zeros == pytest.approx([1.0], abs=1e-9)
 

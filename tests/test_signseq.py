@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from lemmas import sseq_of_samples, tail_subsequence
 from termshapes import signseq as ss
 from termshapes.signseq import EMPTY_PURE, Sign, SignSeq
 
@@ -128,10 +129,10 @@ class TestHeadTail:
         assert ss.head_subsequence(S("--+++"), S("-+--"))
 
     def test_tail_example(self):
-        assert ss.tail_subsequence(S("+"), S("--+"))
+        assert tail_subsequence(S("+"), S("--+"))
 
     def test_tail_terminal_mismatch(self):
-        assert not ss.tail_subsequence(S("+"), S("+-"))
+        assert not tail_subsequence(S("+"), S("+-"))
 
     @given(seqs, seqs)
     def test_head_implies_subsequence(self, a, b):
@@ -140,28 +141,28 @@ class TestHeadTail:
 
     @given(seqs, seqs)
     def test_tail_implies_subsequence(self, a, b):
-        if ss.tail_subsequence(a, b):
+        if tail_subsequence(a, b):
             assert ss.subsequence(a, b)
 
 
 class TestSseqOfSamples:
     def test_plain_values(self):
-        assert ss.sseq_of_samples([1.0, -0.5, 2.0], 1e-9) == S("+-+")
+        assert sseq_of_samples([1.0, -0.5, 2.0], 1e-9) == S("+-+")
 
     def test_threshold(self):
-        assert ss.sseq_of_samples([1e-12, -1.0], 1e-9) == S("-")
+        assert sseq_of_samples([1e-12, -1.0], 1e-9) == S("-")
 
     def test_parabola_samples(self):
         xs = [0.01 * k for k in range(201)]  # [0, 2]
         values = [x * x - 1.0 for x in xs]
-        assert ss.sseq_of_samples(values, 1e-9) == S("-+")
+        assert sseq_of_samples(values, 1e-9) == S("-+")
 
     def test_all_zero(self):
-        assert ss.sseq_of_samples([0.0, 0.0], 1e-9).is_empty
+        assert sseq_of_samples([0.0, 0.0], 1e-9).is_empty
 
     def test_requires_positive_eps(self):
         with pytest.raises(ValueError):
-            ss.sseq_of_samples([1.0], 0.0)
+            sseq_of_samples([1.0], 0.0)
 
 
 class TestShapeOf:

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import draw_models
+from lemmas import l_eval_direct
 from termshapes import vasicek as vk
 from termshapes.descartes import eval_dpoly
 from termshapes.vasicek import ScaleRegime, VasicekModel
@@ -207,7 +208,7 @@ class TestDerivativePolynomials:
         for model, z in draw_models(300, seed=17):
             xs = rng.uniform(0.0, 10.0, 5)
             poly = vk.l_coefficients(model, z)
-            direct = vk.l_eval_direct(model, z, xs)
+            direct = l_eval_direct(model, z, xs)
             via_poly = eval_dpoly(poly, xs) if not poly.is_zero else np.zeros(5)
             scale = np.maximum(np.abs(direct), 1e-12)
             assert np.all(np.abs(via_poly - direct) / scale < 1e-10)
@@ -216,7 +217,7 @@ class TestDerivativePolynomials:
         m = two_factor()
         z = np.array([0.02, -0.01])
         expected = float(m.mu @ m.kappa - (z * np.array(m.lam)) @ np.array(m.kappa))
-        assert vk.l_eval_direct(m, z, 0.0) == pytest.approx(expected, rel=1e-14)
+        assert l_eval_direct(m, z, 0.0) == pytest.approx(expected, rel=1e-14)
 
     def test_finite_difference_of_forward(self):
         m = two_factor()
@@ -224,13 +225,13 @@ class TestDerivativePolynomials:
         h = 1e-5
         for x in (0.3, 1.7, 6.0):
             fd = (vk.forward_curve(m, z, x + h) - vk.forward_curve(m, z, x - h)) / (2 * h)
-            assert vk.l_eval_direct(m, z, x) == pytest.approx(fd, abs=1e-6)
+            assert l_eval_direct(m, z, x) == pytest.approx(fd, abs=1e-6)
 
     def test_yield_derivative_halves_at_origin(self):
         for model, z in draw_models(200, seed=33):
             m_poly = vk.m_coefficients(model, z)
             m0 = eval_dpoly(m_poly, 0.0) if not m_poly.is_zero else 0.0
-            l0 = vk.l_eval_direct(model, z, 0.0)
+            l0 = l_eval_direct(model, z, 0.0)
             assert abs(m0 - 0.5 * l0) <= 1e-10 * max(1.0, abs(l0))
 
     def test_same_coefficients_for_both_curves(self):
@@ -250,7 +251,7 @@ class TestDerivativePolynomials:
             if m_poly.is_zero:
                 continue
             expected = quad(
-                lambda y: y * vk.l_eval_direct(model, z, y), 0.0, x, limit=200
+                lambda y: y * l_eval_direct(model, z, y), 0.0, x, limit=200
             )[0] / (x * x)
             assert eval_dpoly(m_poly, x) == pytest.approx(expected, abs=1e-8)
 

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from termshapes import classify as cl
 from termshapes import signseq as ss
@@ -196,6 +197,31 @@ def _careful_first_changes(kind, decays, coeffs):
     return (int(sseq.signs[0]), len(sseq) - 1) if len(sseq) else (0, 0)
 
 
+def _certificate(decays, coeffs):
+    """``verify._certify`` for both curves, with the scan's terminal signs."""
+    term = {c: vf._terminal_signs(decays, coeffs, kind) for c, kind in vf._KIND.items()}
+    return vf._certify(decays, coeffs, term, np.abs(coeffs).sum(axis=1))
+
+
+@st.composite
+def exp_sums(draw):
+    """2 to 5 increasing decays at least 10% apart, and mixed-sign
+    coefficients with exact zeros; half the sums have their coefficient
+    sum cancelled to 1e-8 .. 1e-1 of the other terms' magnitude sum."""
+    k = draw(st.integers(2, 5))
+    steps = draw(st.lists(st.floats(1.1, 3.0), min_size=k - 1, max_size=k - 1))
+    decays = draw(st.floats(0.05, 2.0)) * np.cumprod([1.0, *steps])
+    magnitude = st.one_of(st.just(0.0), st.floats(-3.0, 0.0).map(lambda e: 10.0**e))
+    signed = st.tuples(st.sampled_from([-1.0, 1.0]), magnitude).map(lambda sm: sm[0] * sm[1])
+    coeffs = np.array(draw(st.lists(signed, min_size=k, max_size=k)))
+    if draw(st.booleans()):
+        j = draw(st.integers(0, k - 1))
+        rest = np.delete(coeffs, j)
+        rel = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-8.0, -1.0))
+        coeffs[j] = rel * np.abs(rest).sum() - rest.sum()
+    return decays, coeffs
+
+
 def _slot_rows(model, n, seed):
     states = np.random.default_rng(seed).uniform(-0.3, 0.3, (n, model.d))
     return vf._fixed_model_slots(model, states)
@@ -321,6 +347,52 @@ def _assert_matches_oracle(got, decays, coeffs):
     return floor
 
 
+class TestCertificate:
+    """The coefficient certificate against the careful scan: no count
+    above the bound B, and every decided row's (first sign, parity)."""
+
+    @staticmethod
+    def _assert_decided_rows_match(decays, coeffs):
+        first, bound, decided = _certificate(decays, coeffs)
+        row_decays = np.broadcast_to(decays, coeffs.shape)
+        for curve, kind in vf._KIND.items():
+            term = vf._terminal_signs(decays, coeffs, kind)
+            for i in np.flatnonzero(decided[curve]):
+                careful = _careful_first_changes(kind, row_decays[i], coeffs[i])
+                assert careful == (first[i], int(first[i] != term[i]))
+        return bound, decided
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @given(exp_sums())
+    def test_random_sums(self, case):
+        decays, coeffs = (a[None] for a in case)
+        bound, _ = self._assert_decided_rows_match(decays, coeffs)
+        for kind in (F_KIND, G_KIND):
+            assert _careful_first_changes(kind, decays[0], coeffs[0])[1] <= bound[0]
+
+    @pytest.mark.parametrize("k", range(len(REGIME_CLASSES)))
+    def test_criterion_4_strata(self, k):
+        regime, rho_class = REGIME_CLASSES[k]
+        cfg = SweepConfig(regime, rho_class, n_samples=2000, seed=41 + k)
+        inst = vf.sample_instances(cfg, np.random.default_rng(cfg.seed), cfg.n_samples)
+        _, decided = self._assert_decided_rows_match(*vf._slot_arrays(inst, regime))
+        assert decided["forward"].mean() > 0.5 and decided["yield"].mean() > 0.5
+
+    def test_floor_rules(self):
+        # Slowest first, V = 2 in every row.  Partial sums +1, -1, +0.5
+        # give B = 2 with first = terminal = +: undecided.  +1, +0.5,
+        # +0.75 give B = 0: no change.  A coefficient sum inside the floor
+        # leaves first at 0, and a partial sum inside it makes B = V.
+        decays = np.array([1.0, 2.0, 3.0])
+        first, bound, decided = _certificate(decays, np.array([[1.0, -2.0, 1.5],
+                                                               [1.0, -0.5, 0.25],
+                                                               [1.0, -1.0, 1e-13],
+                                                               [1.0, -1.0 + 1e-13, 0.5]]))
+        assert bound.tolist() == [2, 0, 2, 2]
+        assert first.tolist() == [1, 1, 0, 1]
+        assert decided["forward"].tolist() == [False, True, False, False]
+
+
 class TestScanInternals:
     @pytest.mark.parametrize("name", sorted(SHARED_MODELS))
     @pytest.mark.parametrize("n", [0, 1, vf._CHUNK - 1, vf._CHUNK, vf._CHUNK + 1])
@@ -357,15 +429,25 @@ class TestScanInternals:
          ("fixed-separated", 0), ("fixed-critical", 0), ("fixed-one-factor", 0)],
     )
     def test_shared_slots_sampled_once_per_call(self, monkeypatch, source, per_row):
-        # One call samples every slot at the first row's decays.  A slot
-        # that varies by row (in a sweep, all but the slots at 20 and 40)
-        # is sampled once per chunk for the chunk's rows, and again, in a
-        # smaller call, for the rows that build their magnitude sum.
+        # Fed only rows the certificate leaves, so every row reaches the
+        # grid.  One call samples every slot at the first row's decays.  A
+        # slot that varies by row (in a sweep, all but the slots at 20 and
+        # 40) is sampled once per chunk for the chunk's rows, and again, in
+        # a smaller call, for the rows that build their magnitude sum.
         chunks = 3
-        if source.startswith("fixed-"):
-            decays, coeffs = _slot_rows(SHARED_MODELS[source[6:]], chunks * vf._CHUNK, seed=1)
+        pool = 64 * chunks * vf._CHUNK
+        if source == "fixed-one-factor":
+            # Two terms: only rows with l(0) = 0 are left, here at z = theta.
+            model = SHARED_MODELS["one-factor"]
+            decays, coeffs = vf._fixed_model_slots(model, np.full((pool, 1), model.theta[0]))
+        elif source.startswith("fixed-"):
+            decays, coeffs = _slot_rows(SHARED_MODELS[source[6:]], pool, seed=1)
         else:
-            decays, coeffs = BOUND_SOURCES[source](chunks * vf._CHUNK)
+            decays, coeffs = BOUND_SOURCES[source](pool)
+        left = np.flatnonzero(~np.logical_and(*_certificate(decays, coeffs)[2].values()))
+        rows = left[: chunks * vf._CHUNK]
+        assert rows.size == chunks * vf._CHUNK
+        decays, coeffs = (decays if decays.ndim == 1 else decays[rows]), coeffs[rows]
         sizes = []
         real = vf._basis_samples
 
@@ -379,6 +461,35 @@ class TestScanInternals:
         assert sizes.count(vf._CHUNK) == chunks * per_row
         assert all(size < vf._CHUNK for size in sizes[1:] if size != vf._CHUNK)
         assert per_row or len(sizes) == 1
+
+    def test_certified_rows_skip_the_grid(self, monkeypatch):
+        # One-factor rows have two terms, so V <= 1 and the certificate
+        # decides every row whose coefficient sum and G weight clear the
+        # floor: none is sampled or scanned, and each gets the grid's answer.
+        decays, coeffs = _slot_rows(SHARED_MODELS["one-factor"], 3 * vf._CHUNK, seed=4)
+        decided = _certificate(decays, coeffs)[2]
+        assert decided["forward"].all() and decided["yield"].all()
+        calls = []
+        monkeypatch.setattr(vf, "_basis_samples", lambda *args: calls.append(args))
+        monkeypatch.setattr(vf, "sseq_of_dpoly", lambda *args: calls.append(args))
+        got = vf._scan_curves(decays, coeffs)
+        assert calls == []
+        monkeypatch.undo()
+        term = {c: vf._terminal_signs(decays, coeffs, k) for c, k in vf._KIND.items()}
+        grid = vf._grid_scan(decays, coeffs, np.abs(coeffs).sum(axis=1), term)
+        for curve in ("forward", "yield"):
+            for g, w in zip(got[curve], grid[curve]):
+                np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize(
+        "decays,coeffs,match",
+        [((1.0, 2.0), (1e38, 1e38), "coefficients"), ((1.0, 1e20), (1.0, 1.0), "decay rates")],
+    )
+    def test_certified_row_out_of_float32_range_raises(self, decays, coeffs, match):
+        decays, coeffs = np.array([decays]), np.array([coeffs])
+        assert all(_certificate(decays, coeffs)[2].values())
+        with pytest.raises(ValueError, match=match):
+            vf._scan_curves(decays, coeffs)
 
     @pytest.mark.parametrize("curve", ["forward", "yield"])
     def test_deferred_rows_scanned_once_each(self, monkeypatch, curve):
