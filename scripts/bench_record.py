@@ -23,8 +23,9 @@ another.  Standard library only.
 compares this checkout with another (the parent commit, say) instead.
 Each workload runs once per seed in both checkouts, and the order
 alternates from seed to seed.  One line per workload and metric gives
-both medians, their ratio, the parent's interquartile range and the
-metric's ``BENCHMARK.json`` bound.  A metric reads ``unresolved`` when
+both medians, their ratio, the parent's interquartile range, the
+metric's ``BENCHMARK.json`` bound, and in how many seed pairs the
+change did better than the parent.  A metric reads ``unresolved`` when
 the parent's IQR exceeds its bound times the parent's median, and
 ``worse`` when the median moved the wrong way by more than its bound.
 The failed-share line reads ``worse`` when, on any seed, the change
@@ -112,7 +113,7 @@ def _compare(parent: Path, seeds: list[int], spec: dict, names: list[str]) -> in
     line per metric."""
     worse = False
     print("workload | metric | parent median | change median | ratio | parent IQR | bound"
-          " | verdict")
+          " | pairs won | verdict")
     for name in names:
         runs = {"parent": [], "change": []}
         for k, seed in enumerate(seeds):
@@ -124,6 +125,8 @@ def _compare(parent: Path, seeds: list[int], spec: dict, names: list[str]) -> in
                 _spread([r["metrics"][metric["name"]]["value"] for r in runs[side]])
                 for side in ("parent", "change")
             )
+            sign = -1.0 if metric["better"] == "lower" else 1.0
+            won = sum(sign * (c - p) > 0 for p, c in zip(before["values"], after["values"]))
             ratio = after["median"] / before["median"] if before["median"] else math.inf
             change = ratio - 1.0 if metric["better"] == "lower" else 1.0 - ratio
             if before["iqr"] > metric["bound"] * abs(before["median"]):
@@ -134,7 +137,7 @@ def _compare(parent: Path, seeds: list[int], spec: dict, names: list[str]) -> in
                 verdict = "within bound"
             print(f"{name} | {metric['name']} | {before['median']:.6g} | "
                   f"{after['median']:.6g} | {ratio:.3f} | {before['iqr']:.4g} | "
-                  f"{metric['bound']:g} | {verdict}")
+                  f"{metric['bound']:g} | {won}/{len(seeds)} | {verdict}")
         shares = {side: sum(r["failed"] for r in rs) / sum(r["attempted"] for r in rs)
                   for side, rs in runs.items()}
         correct = {side: all(r["correct"] for r in rs) for side, rs in runs.items()}
@@ -143,7 +146,7 @@ def _compare(parent: Path, seeds: list[int], spec: dict, names: list[str]) -> in
                    or (p["correct"] and not c["correct"])
                    for p, c in zip(runs["parent"], runs["change"]))
         worse |= rose
-        print(f"{name} | failed share | {shares['parent']:.4%} | {shares['change']:.4%} | | | |"
+        print(f"{name} | failed share | {shares['parent']:.4%} | {shares['change']:.4%} | | | | |"
               f" {'worse' if rose else 'not worse'} (correct {correct['parent']} -> "
               f"{correct['change']})")
     return 1 if worse else 0

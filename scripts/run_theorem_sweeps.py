@@ -3,9 +3,11 @@
 correlation class, and print a compact summary table.
 
 Each line also gives, per curve, the share of rows that the
-coefficient certificate (``verify._certify``) decides without the
-float32 grid, on the sweep's rows regenerated from its seed.  Any
-confirmed violation dumps the offending model/state for replay.
+coefficient certificate (``verify._certify``) decides, and of the rows
+it leaves, how many the Rolle stage (``verify._rolle_scan``) decides and
+how many it defers to the careful scan, on the sweep's rows regenerated
+from its seed.  Any confirmed violation dumps the offending model/state
+for replay.
 """
 
 from __future__ import annotations
@@ -29,13 +31,23 @@ SWEEPS = [
 ]
 
 
-def decided_shares(cfg: SweepConfig) -> dict[str, float]:
-    """Per curve, the share of the sweep's rows the certificate decides."""
+def stage_counts(cfg: SweepConfig) -> dict[str, tuple[float, int, int]]:
+    """Per curve, the share of the sweep's rows the certificate decides,
+    and the rows it leaves that the Rolle stage decides and defers."""
     inst = verify.sample_instances(cfg, np.random.default_rng(cfg.seed), cfg.n_samples)
     decays, coeffs = verify._slot_arrays(inst, cfg.regime)
+    abs_sum = np.abs(coeffs).sum(axis=1)
     term = {c: verify._terminal_signs(decays, coeffs, k) for c, k in verify._KIND.items()}
-    _, _, decided = verify._certify(decays, coeffs, term, np.abs(coeffs).sum(axis=1))
-    return {curve: float(rows.mean()) for curve, rows in decided.items()}
+    _, _, decided = verify._certify(decays, coeffs, term, abs_sum)
+    rows = np.flatnonzero(~np.logical_and(*decided.values()))
+    _, deferred = verify._rolle_scan(decays[rows], coeffs[rows], abs_sum[rows],
+                                     {c: signs[rows] for c, signs in term.items()})
+    counts = {}
+    for curve, done in decided.items():
+        left = ~done[rows]
+        counts[curve] = (float(done.mean()), int(np.sum(left & ~deferred[curve])),
+                         int(np.sum(left & deferred[curve])))
+    return counts
 
 
 def main() -> int:
@@ -63,11 +75,14 @@ def main() -> int:
                 report.forward_histogram.items(), key=lambda kv: -kv[1]
             )
         )
-        shares = decided_shares(cfg)
+        counts = stage_counts(cfg)
+        stages = "  ".join(
+            f"{curve} {share:.1%}, Rolle {rolle} deferred {deferred}"
+            for curve, (share, rolle, deferred) in counts.items()
+        )
         print(
             f"{regime.value:9s} rho {rho_class:11s} {report.samples:7d} samples "
-            f"{report.runtime_seconds:6.1f}s  {status}  decided forward "
-            f"{shares['forward']:.1%} yield {shares['yield']:.1%}  forward: {hist}"
+            f"{report.runtime_seconds:6.1f}s  {status}  certified {stages}  forward: {hist}"
         )
         if not report.passed:
             dumps.append(report.to_dict())

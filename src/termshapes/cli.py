@@ -204,22 +204,22 @@ def _cmd_map(args) -> int:
     if model.d == 1:
         if len(axes) != 1:
             raise _CliError("one-factor models take a single grid axis")
-        axis = _parse_axis(axes[0])
-        _check_corners(model, [axis])
-        rows = verify.state_space_map(model, axis)
         header = ["z", "forward_shape", "yield_shape"]
+    elif len(axes) != 2:
+        raise _CliError("two-factor models need two grid axes (comma separated)")
     else:
-        if len(axes) != 2:
-            raise _CliError("two-factor models need two grid axes (comma separated)")
-        grid = [_parse_axis(axes[0]), _parse_axis(axes[1])]
-        _check_corners(model, grid)
-        rows = verify.state_space_map(model, *grid)
         header = ["z1", "z2", "forward_shape", "yield_shape"]
+    grid = [_parse_axis(axis) for axis in axes]
+    _check_corners(model, grid)
+    rows = verify.state_space_map(model, *grid)
     if args.format == "json":
         payload = [dict(zip(header, row)) for row in rows]
         _emit(_to_json(payload), args.out)
     else:
-        _emit(_csv_text(header, rows), args.out)
+        # Rows are in grid order, the last axis fastest: format each axis
+        # value once, as the csv writer would, instead of once per row.
+        text = itertools.product(*([str(v) for v in axis.tolist()] for axis in grid))
+        _emit(_csv_text(header, ((*z, *row[-2:]) for z, row in zip(text, rows))), args.out)
     return EXIT_OK
 
 

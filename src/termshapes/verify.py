@@ -13,13 +13,13 @@ its reduced sign sequence, which determine the pure sequence, hence the
 shape.  Most rows are decided from their coefficients alone: the
 kernels are Descartes systems, so Laguerre's rule bounds the zero count
 by the sign changes of the coefficients and of their partial sums, and
-the signs at 0 and at infinity fix its parity.  The rest go to a
-float32 scan of one shared grid in u = decay * x; it only decides rows
-whose every sample it can sign, and a row with a sample near zero takes
-its sequence from the careful scan of its own float64 polynomial, so
-``descartes.ZERO_EPS`` is the one rule for what counts as zero.  Any
-apparent violation is re-checked with the careful scalar classifier
-before it is reported.
+the signs at 0 and at infinity fix its parity.  Rolle's theorem counts
+the rest in float64 where decays vary by row (sweeps); a float32 scan
+of one shared grid in u = decay * x, where one decay row is shared.  A
+row a stage cannot sign takes its sequence from the careful scan of its
+own float64 polynomial, so ``descartes.ZERO_EPS`` is the one rule for
+what counts as zero.  Any apparent violation is re-checked with the
+careful scalar classifier before it is reported.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .descartes import (
     WINDOW_EFOLDINGS,
     ZERO_EPS,
     _stability_radius,
+    g_kernel_value,
     interpolate_prescribed_zeros,
     perturb_coefficients,
     sseq_of_dpoly,
@@ -58,6 +59,8 @@ RhoClassOption = Literal["nonnegative", "negative", "any"]
 BATCH_SAMPLES = 512
 #: Rows per float32 pass: a (rows, 512) array is 512 KB at 256 rows.
 _CHUNK = 256
+#: Rolle stage: rows per block, a zero's relative accuracy, its step limit.
+_BLOCK, _RTOL, _MAX_STEPS = 8192, 1e-8, 100
 _KIND = {"forward": F_KIND, "yield": G_KIND}  # each curve's kernel
 #: Bound on a row's coefficient magnitude sum and on the square of its
 #: largest scaled decay (G divides by u^2): the float32 sums and samples
@@ -219,14 +222,9 @@ def _columns(lam, parts, order: ScaleRegime | None = None) -> tuple[np.ndarray, 
 
 def _terminal_signs(decays: np.ndarray, coeffs: np.ndarray, kind: str) -> np.ndarray:
     """Analytic x -> infinity signs, one per row (int8)."""
-    n = coeffs.shape[0]
-    if kind == F_KIND:
-        term = np.zeros(n, dtype=np.int8)
-        for k in range(coeffs.shape[1]):  # increasing decay order
-            col = coeffs[:, k]
-            pick = (term == 0) & (col != 0.0)
-            term[pick] = np.sign(col[pick]).astype(np.int8)
-        return term
+    if kind == F_KIND:  # the slowest nonzero term, columns in increasing decay order
+        slowest = np.argmax(coeffs != 0.0, axis=1)
+        return np.sign(coeffs[np.arange(coeffs.shape[0]), slowest]).astype(np.int8)
     weighted = np.sum(coeffs / (decays * decays), axis=1)
     return np.sign(weighted).astype(np.int8)
 
@@ -240,13 +238,6 @@ def _g_series32(u: np.ndarray) -> np.ndarray:
     )
 
 
-def _sign_runs(pos: np.ndarray, flips: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row (first sign, change count, last sign) of rows without zero
-    samples, from ``pos`` (sample > 0); ``flips`` is scratch for the changes."""
-    changes = np.not_equal(pos[:, 1:], pos[:, :-1], out=flips).sum(axis=1, dtype=np.int32)
-    return 2 * pos[:, 0].astype(np.int8) - 1, changes, 2 * pos[:, -1].astype(np.int8) - 1
-
-
 def _careful_first_changes(kind: str, decays: np.ndarray, coeffs: np.ndarray) -> tuple[int, int]:
     """(first sign, change count) of one row by ``sseq_of_dpoly``, its
     slots reversed into Descartes order (decreasing decay)."""
@@ -254,18 +245,15 @@ def _careful_first_changes(kind: str, decays: np.ndarray, coeffs: np.ndarray) ->
     return (int(sseq.signs[0]), len(sseq) - 1) if len(sseq) else (0, 0)
 
 
-def _basis_samples(d: np.ndarray, t: np.ndarray, curves: tuple[str, ...], out=None) -> dict:
-    """exp(-u) and G(u) at u = d * t, for d a scalar or one value per row,
-    written into ``out`` (u, exp and G buffers; u is left as u * u) if given."""
-    u, e, g = np.empty((3, *np.shape(d), t.size), dtype=np.float32) if out is None else out
-    np.multiply(d[..., None], t, out=u)
-    samples = {"forward": np.exp(np.negative(u, out=e), out=e)}
+def _basis_samples(d: np.ndarray, t: np.ndarray, curves: tuple[str, ...]) -> dict:
+    """exp(-u) and G(u) at u = d * t, for d a scalar or a row of decays."""
+    u = np.multiply(d[..., None], t)
+    samples = {"forward": np.exp(-u)}
     if "yield" in curves:
         # u grows along t, so the series region u < 0.25 is a column prefix.
         lead = int(np.count_nonzero(np.min(d) * t < 0.25))
         series, small = _g_series32(u[..., :lead]), u[..., :lead] < 0.25
-        np.subtract(1.0, np.multiply(e, np.add(u, 1.0, out=g), out=g), out=g)
-        np.divide(g, np.multiply(u, u, out=u), out=g)
+        g = (1.0 - samples["forward"] * (u + 1.0)) / (u * u)
         np.copyto(g[..., :lead], series, where=small)
         samples["yield"] = g
     return samples
@@ -313,10 +301,10 @@ def _scan_curves(
     l, as M = x^2 m has M(0) = 0 and M' = x l (Rolle).  A count has the
     parity of [first != terminal sign], so ``_certify`` decides the rows
     whose B = min(V, P) is below that parity plus 2.  The rest go to
-    ``_grid_scan`` as one compacted subarray (a shared decay row stays
-    shared), whose answers each curve takes where it was left undecided.
-    A row whose magnitude sum, or squared largest scaled decay, is not
-    below ``_FLOAT32_SAFE`` raises ValueError, certified or not.
+    ``_rolle_scan`` if decays vary by row, else to ``_grid_scan``, and the
+    rows those defer to ``_careful_first_changes``.  A row whose magnitude
+    sum, or squared largest scaled decay, is not below ``_FLOAT32_SAFE``
+    raises ValueError, certified or not.
     """
     if not np.all(decays * (WINDOW_EFOLDINGS / decays[..., :1]) < np.sqrt(_FLOAT32_SAFE)):
         raise ValueError("decay rates spread too widely for the float32 batch scan")
@@ -329,100 +317,162 @@ def _scan_curves(
            for c, ok in decided.items()}
     rows = np.flatnonzero(~np.logical_and.reduce(list(decided.values())))
     if rows.size:
-        sub = decays if decays.ndim == 1 else decays[rows]
-        grid = _grid_scan(sub, coeffs[rows], abs_sum[rows], {c: term[c][rows] for c in curves})
+        sub, a = (decays if decays.ndim == 1 else decays[rows]), coeffs[rows]
+        scan = _grid_scan if decays.ndim == 1 else _rolle_scan
+        got, deferred = scan(sub, a, abs_sum[rows], {c: term[c][rows] for c in curves})
         for c in curves:
-            pick = ~decided[c][rows]
-            out[c][0][rows[pick]], out[c][1][rows[pick]] = grid[c][0][pick], grid[c][1][pick]
+            pick, careful = ~decided[c][rows], deferred[c] & ~decided[c][rows]
+            if careful.any():  # one careful scan per distinct row
+                both = np.concatenate((np.broadcast_to(sub, a.shape)[careful], a[careful]), 1)
+                uniq, inverse = np.unique(both, axis=0, return_inverse=True)
+                firsts = [_careful_first_changes(_KIND[c], *np.split(r, 2)) for r in uniq]
+                got[c][0][careful], got[c][1][careful] = np.array(firsts)[inverse.reshape(-1)].T
+            out[c][0][rows[pick]], out[c][1][rows[pick]] = got[c][0][pick], got[c][1][pick]
     return out
 
 
-def _grid_scan(decays: np.ndarray, coeffs: np.ndarray, abs_sum: np.ndarray, term: dict) -> dict:
-    """(first sign, change count) per row by the float32 grid, for the
-    curves of ``term``, which maps them to their analytic terminal signs.
+def _level_zeros(e: np.ndarray, c: np.ndarray, pts: np.ndarray, sign: np.ndarray,
+                 pick: np.ndarray) -> np.ndarray:
+    """On the rows of ``pick``, the zero of sum_j c_j exp(-e_j x) between
+    consecutive points of opposite sign, where it is monotone (inf
+    elsewhere, NaN if not found): closed form for two terms, else
+    safeguarded Newton from the first two-term zero inside the bracket."""
+    r, j = np.nonzero((sign[:, :-1] != sign[:, 1:]) & pick[:, None])
+    zeros = np.full((pts.shape[0], pts.shape[1] - 1), np.inf)
+    if c.shape[1] == 2 or not r.size:
+        zeros[r, j] = np.log(-c[r, 1] / c[r, 0]) / e[r, 1]
+        return zeros
+    e, c, lo, hi, pos, act = e[r], c[r], pts[r, j], pts[r, j + 1], sign[r, j] > 0, np.arange(r.size)
+    mid = lambda lo, hi: np.sqrt(np.maximum(lo, 1e-6 * hi) * hi)  # noqa: E731
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        guess = np.log(-c[:, 1:] / c[:, :-1]) / (e[:, 1:] - e[:, :-1])
+        inside = (guess > lo[:, None]) & (guess < hi[:, None])
+        at = np.where(inside.any(axis=1), guess[act, inside.argmax(axis=1)], mid(lo, hi))
+        ne, coef, x = -e, np.stack((c, c * e)), np.full(r.size, np.nan)
+        for _ in range(_MAX_STEPS):
+            g, slope = np.einsum("ij,kij->ki", np.exp(ne * at[:, None]), coef)
+            step, up = g / slope, (g > 0) == pos  # step = -g / g'
+            lo, hi = np.where(up, at, lo), np.where(up, hi, at)
+            at = np.where((at + step >= lo) & (at + step <= hi), at + step, mid(lo, hi))
+            done = np.minimum(np.abs(step), hi - lo) <= _RTOL * at
+            if done.any():
+                x[act[done]], keep = at[done], ~done
+                act, ne, coef, pos, lo, hi, at = (
+                    act[keep], ne[keep], coef[:, keep], pos[keep], lo[keep], hi[keep], at[keep])
+                if not act.size:
+                    break
+    zeros[r, j] = x
+    return zeros
 
-    Rows are scaled so that slot 0 has float32 decay 20 and sampled at
-    u = decay * x over x <= ``WINDOW_EFOLDINGS`` / min decay; a slot equal
-    in every row is sampled once per call, the others per ``_CHUNK`` rows.
-    Samples add a_j b_j in slot order (``np.einsum`` over the leading
-    shared slots, which does not fuse, then product-then-add).  A sample
-    with |v| > 2e-6 * abs_sum * b_0 keeps its float32 sign; rows with a
-    sample inside that bound build vm = sum_j |a_j| b_j, and a row with a
-    sample at or below 1e-6 * vm (or NaN) is deferred to ``sseq_of_dpoly``
-    on its float64 polynomial, once per distinct row; one that scan
-    cannot resolve raises ``NumericalInconsistencyError``.
+
+def _rolle_scan(decays: np.ndarray, coeffs: np.ndarray, abs_sum: np.ndarray, term: dict) -> tuple:
+    """(first sign, change count) per row by Rolle's theorem (README,
+    Numerical notes), and the rows deferred, for the curves of ``term``
+    (curve -> terminal signs).  Level i, sum_{j>=i} c_ij exp(-(d_j - d_i)
+    x) with c_0j = a_j and c_ij = c_(i-1)j (d_j - d_(i-1)), has one zero
+    between consecutive points of (0, level i+1's zeros, X) of opposite
+    sign, and none past X, where its slowest term outweighs twice the
+    rest.  A row with c_ii = 0, a value within ``ZERO_EPS`` of its term
+    magnitude sum, a zero not found or an end sum in its floor is deferred.
+    """
+    n, k = coeffs.shape
+    out = {c: (np.zeros(n, dtype=np.int8), np.zeros(n, dtype=np.int32)) for c in term}
+    deferred = {c: np.zeros(n, dtype=bool) for c in term}
+    for sl in (slice(start, start + _BLOCK) for start in range(0, n, _BLOCK)):
+        d, a = decays[sl], coeffs[sl]
+        levels = [(d - d[:, :1], a)]
+        for i in range(1, k - 1):
+            levels.append((d[:, i:] - d[:, i : i + 1], levels[-1][1][:, 1:] * levels[-1][0][:, 1:]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ends = [np.log(np.maximum(2 * k * np.abs(c[:, 1:] / c[:, :1]), 1.0)) / e[:, 1:]
+                    for e, c in levels]
+        x_end = np.fmax.reduce(np.concatenate(ends, axis=1), axis=1, initial=0.0)[:, None]
+        bad = ~np.isfinite(x_end[:, 0])
+        x_end[bad], zeros = 1.0, np.empty((a.shape[0], 0))
+        for i in range(max(k - 2, 0), -1, -1):  # g_0(0) = sum a: l's first sign and its floor
+            e, c = levels[i]
+            pts = np.concatenate((0.0 * x_end, np.fmin(zeros, x_end), x_end), axis=1)
+            g, mag = np.einsum("rpw,krw->krp", np.exp(-e[:, None] * pts[..., None]), [c, abs(c)])
+            bad |= np.any(np.abs(g) <= ZERO_EPS * mag, axis=1)
+            sign = np.sign(g)
+            if i:
+                zeros = _level_zeros(e, c, pts, sign, ~bad)
+                bad |= np.isnan(zeros).any(axis=1)
+                zeros.sort(axis=1)
+        first, fwd = sign[:, 0], np.count_nonzero(np.diff(sign), axis=1)
+        counts = {"forward": (fwd, bad)}
+        if "yield" in term:
+            end, w = term["yield"][sl], a / (d * d)
+            bad = bad | (np.abs(w.sum(axis=1)) <= ZERO_EPS * np.abs(w).sum(axis=1))
+            parity = (first != end).astype(np.int32)
+            counts["yield"], rows = (parity, bad), ~bad & (fwd - parity >= 2)
+            if rows.any():
+                z = np.sort(_level_zeros(*levels[0], pts, sign, rows)[rows], axis=1)
+                t = a[rows, None] * g_kernel_value(d[rows, None] * np.fmin(z, x_end[rows])[..., None])
+                m = t.sum(axis=2)
+                bad[rows] |= np.any(np.isnan(z) | (np.abs(m) <= ZERO_EPS * np.abs(t).sum(axis=2)), 1)
+                seq = np.concatenate((first[rows, None], np.sign(m), end[rows, None]), axis=1)
+                parity[rows] = np.count_nonzero(np.diff(seq), axis=1)
+        for c in term:
+            out[c][0][sl], (out[c][1][sl], deferred[c][sl]) = first, counts[c]
+    return out, deferred
+
+
+def _grid_scan(decays: np.ndarray, coeffs: np.ndarray, abs_sum: np.ndarray, term: dict) -> tuple:
+    """(first sign, change count) per row by the float32 grid, and the
+    rows deferred, for one decay row (k,) shared by every row and the
+    curves of ``term`` (curve -> terminal signs).
+
+    The row, scaled so that slot 0 has float32 decay 20, is sampled once
+    at u = decay * x over x <= ``WINDOW_EFOLDINGS`` / min decay, exp(-u)
+    below the smallest normal float32 flushed to 0.  Samples add a_j b_j
+    in slot order (``np.einsum``, which does not fuse).  A sample with |v|
+    > 2e-6 * abs_sum * b_0 keeps its float32 sign; rows with one inside
+    that bound build vm = sum_j |a_j| b_j, and a row with a sample at or
+    below 1e-6 * vm (or NaN) is deferred.
     """
     curves = tuple(term)
-    n, k = coeffs.shape
+    n = coeffs.shape[0]
     out = {c: (np.zeros(n, dtype=np.int8), np.zeros(n, dtype=np.int32)) for c in curves}
     m = BATCH_SAMPLES
-    d = np.atleast_2d((decays * (WINDOW_EFOLDINGS / decays[..., :1])).astype(np.float32))
-    shared = np.all(d == d[0], axis=0)
-    lead = int(np.logical_and.accumulate(shared).sum())
+    d = (decays * (WINDOW_EFOLDINGS / decays[:1])).astype(np.float32)
     t = np.linspace(0.0, 1.0, m)[1:].astype(np.float32)
-    table = _basis_samples(d[0], t, curves)  # (k, m - 1); read at shared slots only
+    table = _basis_samples(d, t, curves)  # (k, m - 1)
+    table["forward"][table["forward"] < np.finfo(np.float32).tiny] = 0.0
     half = {"forward": 1.0, "yield": 0.5}
-    # Per unit of abs_sum, the bound at x = 0 and along t.
-    ceiling = {
-        c: np.float32(2e-6) * np.concatenate((np.float32([half[c]]), table[c][0])) for c in curves
-    }
-    coef_sum = np.sum(coeffs, axis=1).astype(np.float32)
-    abs_sum = abs_sum.astype(np.float32)
+    ceiling = {c: np.float32(2e-6) * np.concatenate((np.float32([half[c]]), table[c][0]))
+               for c in curves}  # per unit of abs_sum, the bound at x = 0 and along t
+    coef_sum, abs_sum = np.sum(coeffs, axis=1).astype(np.float32), abs_sum.astype(np.float32)
     deferred = {c: np.zeros(n, dtype=bool) for c in curves}
-    # Workspaces: per-curve sums, product scratch and, when a slot varies by
-    # row, u, exp and G.  glibc keeps one block this size on the heap between
-    # calls; separate arrays would be trimmed and faulted in again each call.
+    # Workspaces: sums and product scratch.  glibc keeps one block this
+    # size on the heap between calls; separate arrays would be trimmed and
+    # faulted in again each call.
     cap = min(n, _CHUNK)
-    work = np.empty((len(curves) + (1 if shared.all() else 4), cap, m - 1), dtype=np.float32)
-    acc, prod, bufs = dict(zip(curves, work)), work[len(curves)], work[len(curves) + 1 :]
+    acc, prod = np.empty((2, cap, m - 1), dtype=np.float32)
     pos, flips = np.empty((cap, m), dtype=bool), np.empty((cap, m - 1), dtype=bool)
-
-    def accumulate(sums: dict, a: np.ndarray, rows) -> None:
-        """sums[c] = sum_j a[:, j] * (slot j's samples), added in slot order."""
-        r = a.shape[0]
-        for c, s in sums.items():
-            np.einsum("ij,jk->ik", a[:, :lead], table[c][:lead], out=s)
-        for j in range(lead, k):
-            samples = ({c: table[c][j] for c in sums} if shared[j]
-                       else _basis_samples(d[rows, j], t, tuple(sums), bufs[:, :r]))
-            for c, s in sums.items():
-                s += np.multiply(a[:, j, None], samples[c], out=prod[:r])
-
     for start in range(0, n, _CHUNK):
         sl = slice(start, min(start + _CHUNK, n))
         a = coeffs[sl].astype(np.float32)
         r = a.shape[0]
-        accumulate({c: acc[c][:r] for c in curves}, a, sl)
         for curve in curves:
-            v0, v = half[curve] * coef_sum[sl], acc[curve][:r]  # x = 0 and x > 0
+            v = np.einsum("ij,jk->ik", a, table[curve], out=acc[:r])  # x > 0
+            v0 = half[curve] * coef_sum[sl]  # x = 0
             pos[:r, 0] = v0 > 0
             np.greater(v, 0, out=pos[:r, 1:])
-            first, changes, last = _sign_runs(pos[:r], flips[:r])
-            changes += (term[curve][sl] != 0) & (term[curve][sl] != last)
-            out[curve][0][sl], out[curve][1][sl] = first, changes
+            changes = np.not_equal(pos[:r, 1:], pos[:r, :-1], out=flips[:r]).sum(axis=1)
+            changes += (term[curve][sl] != 0) & (term[curve][sl] != 2 * pos[:r, -1] - 1)
+            out[curve][0][sl], out[curve][1][sl] = 2 * pos[:r, 0] - 1, changes
             np.abs(v, out=v)  # v holds |v| from here on
             bound = np.multiply(abs_sum[sl, None], ceiling[curve][1:], out=prod[:r])
             clear = np.abs(v0) > abs_sum[sl] * ceiling[curve][0]
             clear &= np.greater(v, bound, out=flips[:r]).all(axis=1)
             rows = np.flatnonzero(~clear)
             if rows.size:
-                vm = np.empty((rows.size, m - 1), dtype=np.float32)
-                accumulate({curve: vm}, np.abs(a[rows]), start + rows)
+                vm = np.einsum("ij,jk->ik", np.abs(a[rows]), table[curve])
                 signed = np.abs(v0[rows]) > np.float32(1e-6) * (half[curve] * abs_sum[sl][rows])
                 signed &= (v[rows] > np.float32(1e-6) * vm).all(axis=1)
                 deferred[curve][start + rows[~signed]] = True
-
-    for curve in curves:
-        rows = np.flatnonzero(deferred[curve])
-        if rows.size:
-            # One careful scan per distinct (decays, coefficients) row.
-            both = np.concatenate((np.broadcast_to(decays, coeffs.shape)[rows], coeffs[rows]), 1)
-            uniq, inverse = np.unique(both, axis=0, return_inverse=True)
-            careful = np.array(
-                [_careful_first_changes(_KIND[curve], r[:k], r[k:]) for r in uniq]
-            )
-            out[curve][0][rows], out[curve][1][rows] = careful[inverse.reshape(-1)].T
-    return out
+    return out, deferred
 
 
 def _shape_codes(first: np.ndarray, changes: np.ndarray) -> np.ndarray:

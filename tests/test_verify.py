@@ -281,6 +281,40 @@ BOUND_SOURCES = {
 }
 
 
+def _edit(coeffs, edit):
+    """A copy of ``coeffs`` with one of two near-zero edits."""
+    coeffs, n = coeffs.copy(), coeffs.shape[0]
+    if edit == "tiny-slowest":
+        # Inside the grid's bound but clear of its floor, except every 16th
+        # row, whose coefficients sum to zero: l(0) = 0.
+        coeffs[:, 0] *= 1e-9
+        coeffs[::16, -1] = -coeffs[::16, :-1].sum(axis=1)
+    else:
+        # x = 0 sums between 0.5e-6 and 3e-6 of the magnitude sum, of
+        # either sign: around the grid's old floor and inside its bound.
+        rest = coeffs[:, :-1]
+        rel = np.linspace(1e-6, 3e-6, n) * np.where(np.arange(n) % 2, 1.0, -1.0)
+        coeffs[:, -1] = rel * np.abs(rest).sum(axis=1) - rest.sum(axis=1)
+    return coeffs
+
+
+def _grid_rows(decays, coeffs):
+    """``verify._grid_scan`` of per-row decays, one call per row with its
+    decays as the shared row."""
+    n = coeffs.shape[0]
+    out = {c: (np.zeros(n, dtype=np.int8), np.zeros(n, dtype=np.int32)) for c in vf._KIND}
+    for i in range(n):
+        d, a = decays[i], coeffs[i : i + 1]
+        term = {c: vf._terminal_signs(d, a, kind) for c, kind in vf._KIND.items()}
+        got, deferred = vf._grid_scan(d, a, np.abs(a).sum(axis=1), term)
+        for c, kind in vf._KIND.items():
+            first_changes = (got[c][0][0], got[c][1][0])
+            if deferred[c][0]:
+                first_changes = _careful_first_changes(kind, d, a[0])
+            out[c][0][i], out[c][1][i] = first_changes
+    return out
+
+
 def _one_factor_models(n, seed):
     rng = np.random.default_rng(seed)
     return {
@@ -393,6 +427,72 @@ class TestCertificate:
         assert decided["forward"].tolist() == [False, True, False, False]
 
 
+@st.composite
+def stage_rows(draw, family, pool=1024, rows=24):
+    """Up to ``rows`` rows the certificate leaves, from ``pool`` sweep draws
+    of a family: plain sweep rows, lambda2 = 2 lambda1 (1 -/+ 5e-7), or
+    sweep rows with one of the ``_edit`` edits."""
+    regime, rho_class = draw(st.sampled_from(REGIME_CLASSES))
+    seed = draw(st.integers(0, 2**32 - 1))
+    inst = vf.sample_instances(SweepConfig(regime, rho_class), np.random.default_rng(seed), pool)
+    if family == "near-critical":
+        side = draw(st.sampled_from([-5e-7, 5e-7]))
+        inst["lam2"] = 2 * inst["lam1"] * (1 + side)
+        regime = ScaleRegime.SEPARATED if side > 0 else ScaleRegime.PROXIMAL
+    decays, coeffs = vf._slot_arrays(inst, regime)
+    if family in ("tiny-slowest", "cancel-at-zero"):
+        coeffs = _edit(coeffs, family)
+    left = np.flatnonzero(~np.logical_and(*_certificate(decays, coeffs)[2].values()))[:rows]
+    return decays[left], coeffs[left]
+
+
+class TestRolle:
+    """The Rolle stage against the careful scan on both curves."""
+
+    @pytest.mark.parametrize("family", ["sweep", "near-critical", "tiny-slowest", "cancel-at-zero"])
+    def test_decided_rows_match_careful(self, family):
+        seen = []
+
+        @settings(derandomize=True, deadline=None, database=None, max_examples=15)
+        @given(stage_rows(family))
+        def check(case):
+            decays, coeffs = case
+            term = {c: vf._terminal_signs(decays, coeffs, kind) for c, kind in vf._KIND.items()}
+            got, deferred = vf._rolle_scan(decays, coeffs, np.abs(coeffs).sum(axis=1), term)
+            for curve, kind in vf._KIND.items():
+                for i in np.flatnonzero(~deferred[curve]):
+                    careful = _careful_first_changes(kind, decays[i], coeffs[i])
+                    assert (got[curve][0][i], got[curve][1][i]) == careful
+            seen.append(coeffs.shape[0])
+
+        check()
+        assert sum(seen) >= 200
+
+    def test_row_6849_reads_dh(self):
+        # The float32 grid read this forward curve as inverse; it has two
+        # zeros, at 0.98251 and 0.98876.
+        cfg = SweepConfig(ScaleRegime.SEPARATED, "nonnegative", n_samples=10_000, seed=41)
+        inst = vf.sample_instances(cfg, np.random.default_rng(cfg.seed), cfg.n_samples)
+        decays, coeffs = (a[6849:6850] for a in vf._slot_arrays(inst, cfg.regime))
+        assert not _certificate(decays, coeffs)[2]["forward"][0]
+        shape = decode_shape(int(vf._shape_codes(*vf._scan_curves(decays, coeffs)["forward"])[0]))
+        assert str(shape) == "DH"
+        assert shape == cl.classify_forward(*vf.instance_model(inst, 6849)).shape
+
+    @pytest.mark.parametrize("source", ["fixed-critical-5e-7", "fixed-critical+5e-7"])
+    def test_row_138_counts_both_zeros(self, source):
+        # The shared grid reads this forward curve with 0 changes where it
+        # has 2, so a yield count derived from the grid's forward count
+        # would read 0; as a per-row row it takes the Rolle stage.
+        decays, coeffs = BOUND_SOURCES[source](256)
+        coeffs = _edit(coeffs, "cancel-at-zero")[138:139]
+        got = vf._scan_curves(decays[None], coeffs)
+        for curve, kind in vf._KIND.items():
+            careful = _careful_first_changes(kind, decays, coeffs[0])
+            assert careful == (-1, 2)
+            assert (got[curve][0][0], got[curve][1][0]) == careful
+
+
 class TestScanInternals:
     @pytest.mark.parametrize("name", sorted(SHARED_MODELS))
     @pytest.mark.parametrize("n", [0, 1, vf._CHUNK - 1, vf._CHUNK, vf._CHUNK + 1])
@@ -407,33 +507,24 @@ class TestScanInternals:
     @pytest.mark.parametrize("source", sorted(BOUND_SOURCES))
     @pytest.mark.parametrize("n", [0, 1, vf._CHUNK - 1, vf._CHUNK, vf._CHUNK + 1])
     def test_bound_first_scan_matches_two_accumulator_oracle(self, source, edit, n):
+        # Sweep rows reach the Rolle stage, not the grid, so the grid is
+        # called on them directly, row by row.
         decays, coeffs = BOUND_SOURCES[source](n)
-        coeffs = coeffs.copy()
-        if edit == "tiny-slowest":
-            # Inside the bound but clear of the floor, except every 16th
-            # row, whose coefficients sum to zero: l(0) = 0.
-            coeffs[:, 0] *= 1e-9
-            coeffs[::16, -1] = -coeffs[::16, :-1].sum(axis=1)
-        else:
-            # x = 0 sums between 0.5e-6 and 3e-6 of the magnitude sum, of
-            # either sign: around the old floor and inside the bound.
-            rest = coeffs[:, :-1]
-            rel = np.linspace(1e-6, 3e-6, n) * np.where(np.arange(n) % 2, 1.0, -1.0)
-            coeffs[:, -1] = rel * np.abs(rest).sum(axis=1) - rest.sum(axis=1)
-        floor = _assert_matches_oracle(vf._scan_curves(decays, coeffs), decays, coeffs)
+        coeffs = _edit(coeffs, edit)
+        got = vf._scan_curves(decays, coeffs) if decays.ndim == 1 else _grid_rows(decays, coeffs)
+        floor = _assert_matches_oracle(got, decays, coeffs)
         assert (floor["forward"].any() or floor["yield"].any()) == (n > 0)
 
     @pytest.mark.parametrize(
-        "source,per_row",
-        [("sweep", 3), ("sweep-proximal", 3), ("sweep-critical", 0),
-         ("fixed-separated", 0), ("fixed-critical", 0), ("fixed-one-factor", 0)],
+        "source",
+        ["sweep", "sweep-proximal", "sweep-critical",
+         "fixed-separated", "fixed-critical", "fixed-one-factor"],
     )
-    def test_shared_slots_sampled_once_per_call(self, monkeypatch, source, per_row):
+    def test_shared_slots_sampled_once_per_call(self, monkeypatch, source):
         # Fed only rows the certificate leaves, so every row reaches the
-        # grid.  One call samples every slot at the first row's decays.  A
-        # slot that varies by row (in a sweep, all but the slots at 20 and
-        # 40) is sampled once per chunk for the chunk's rows, and again, in
-        # a smaller call, for the rows that build their magnitude sum.
+        # stage after it.  The grid samples a fixed model's shared decay
+        # row once per call; sweep rows go to the Rolle stage, which
+        # samples nothing.
         chunks = 3
         pool = 64 * chunks * vf._CHUNK
         if source == "fixed-one-factor":
@@ -457,10 +548,7 @@ class TestScanInternals:
 
         monkeypatch.setattr(vf, "_basis_samples", counted)
         vf._scan_curves(decays, coeffs)
-        assert sizes[0] == coeffs.shape[1]
-        assert sizes.count(vf._CHUNK) == chunks * per_row
-        assert all(size < vf._CHUNK for size in sizes[1:] if size != vf._CHUNK)
-        assert per_row or len(sizes) == 1
+        assert sizes == ([] if source.startswith("sweep") else [coeffs.shape[1]])
 
     def test_certified_rows_skip_the_grid(self, monkeypatch):
         # One-factor rows have two terms, so V <= 1 and the certificate
@@ -476,7 +564,8 @@ class TestScanInternals:
         assert calls == []
         monkeypatch.undo()
         term = {c: vf._terminal_signs(decays, coeffs, k) for c, k in vf._KIND.items()}
-        grid = vf._grid_scan(decays, coeffs, np.abs(coeffs).sum(axis=1), term)
+        grid, deferred = vf._grid_scan(decays, coeffs, np.abs(coeffs).sum(axis=1), term)
+        assert not any(rows.any() for rows in deferred.values())
         for curve in ("forward", "yield"):
             for g, w in zip(got[curve], grid[curve]):
                 np.testing.assert_array_equal(g, w)
@@ -528,11 +617,6 @@ class TestScanInternals:
             got = vf._basis_samples(d, t, ("yield",))
             np.testing.assert_array_equal(got["yield"], want)
             np.testing.assert_array_equal(got["forward"], e)
-            # Caller buffers, as the scan's chunk workspace passes them.
-            bufs = np.full((3, *u.shape), np.nan, dtype=np.float32)
-            into = vf._basis_samples(d, t, ("forward", "yield"), bufs)
-            np.testing.assert_array_equal(into["yield"], want)
-            np.testing.assert_array_equal(into["forward"], e)
 
 
 class TestStrictAttainability:
