@@ -6,8 +6,9 @@ Each line also gives, per curve, the share of rows that the
 coefficient certificate (``verify._certify``) decides, and of the rows
 it leaves, how many the Rolle stage (``verify._rolle_scan``) decides and
 how many it defers to the careful scan, on the sweep's rows regenerated
-from its seed.  Any confirmed violation dumps the offending model/state
-for replay.
+from its seed.  The same counts follow for the seven fixed models of
+``scan_digest.py``, on its seeded states.  Any confirmed violation
+dumps the offending model/state for replay.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import sys
 
 import numpy as np
 
+from scan_digest import MODELS as FIXED_MODELS, STATES as FIXED_STATES
 from termshapes import verify
 from termshapes.vasicek import ScaleRegime
 from termshapes.verify import SweepConfig, sweep_theorem
@@ -31,16 +33,15 @@ SWEEPS = [
 ]
 
 
-def stage_counts(cfg: SweepConfig) -> dict[str, tuple[float, int, int]]:
-    """Per curve, the share of the sweep's rows the certificate decides,
-    and the rows it leaves that the Rolle stage decides and defers."""
-    inst = verify.sample_instances(cfg, np.random.default_rng(cfg.seed), cfg.n_samples)
-    decays, coeffs = verify._slot_arrays(inst, cfg.regime)
+def stage_counts(decays: np.ndarray, coeffs: np.ndarray) -> dict[str, tuple[float, int, int]]:
+    """Per curve, the share of rows the certificate decides, and the rows
+    it leaves that the Rolle stage decides and defers.  ``decays`` is
+    (n, k), or one row (k,) shared by every row."""
     abs_sum = np.abs(coeffs).sum(axis=1)
     term = {c: verify._terminal_signs(decays, coeffs, k) for c, k in verify._KIND.items()}
     _, _, decided = verify._certify(decays, coeffs, term, abs_sum)
     rows = np.flatnonzero(~np.logical_and(*decided.values()))
-    _, deferred = verify._rolle_scan(decays[rows], coeffs[rows], abs_sum[rows],
+    _, deferred = verify._rolle_scan(np.broadcast_to(decays, coeffs.shape)[rows], coeffs[rows],
                                      {c: signs[rows] for c, signs in term.items()})
     counts = {}
     for curve, done in decided.items():
@@ -48,6 +49,11 @@ def stage_counts(cfg: SweepConfig) -> dict[str, tuple[float, int, int]]:
         counts[curve] = (float(done.mean()), int(np.sum(left & ~deferred[curve])),
                          int(np.sum(left & deferred[curve])))
     return counts
+
+
+def _stages(counts: dict[str, tuple[float, int, int]]) -> str:
+    return "  ".join(f"{curve} {share:.1%}, Rolle {rolle} deferred {deferred}"
+                     for curve, (share, rolle, deferred) in counts.items())
 
 
 def main() -> int:
@@ -75,17 +81,18 @@ def main() -> int:
                 report.forward_histogram.items(), key=lambda kv: -kv[1]
             )
         )
-        counts = stage_counts(cfg)
-        stages = "  ".join(
-            f"{curve} {share:.1%}, Rolle {rolle} deferred {deferred}"
-            for curve, (share, rolle, deferred) in counts.items()
-        )
+        inst = verify.sample_instances(cfg, np.random.default_rng(cfg.seed), cfg.n_samples)
+        stages = _stages(stage_counts(*verify._slot_arrays(inst, cfg.regime)))
         print(
             f"{regime.value:9s} rho {rho_class:11s} {report.samples:7d} samples "
             f"{report.runtime_seconds:6.1f}s  {status}  certified {stages}  forward: {hist}"
         )
         if not report.passed:
             dumps.append(report.to_dict())
+    for k, (name, model) in enumerate(FIXED_MODELS.items()):
+        states = np.random.default_rng(k).uniform(-0.3, 0.3, (FIXED_STATES, model.d))
+        stages = _stages(stage_counts(*verify._fixed_model_slots(model, states)))
+        print(f"fixed {name:16s} {FIXED_STATES:7d} states  certified {stages}")
 
     if dumps and args.dump:
         with open(args.dump, "w", encoding="utf-8") as fh:

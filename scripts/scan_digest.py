@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print one sha256 per output array of the batch scan (the coefficient
-certificate, then the Rolle stage on sweep rows and the float32 grid on
-fixed-model rows), and one per output stream of the careful scanner.
+certificate, then the Rolle stage), and one per output stream of the
+careful scanner.
 
     python3 scripts/scan_digest.py > digest.txt
 

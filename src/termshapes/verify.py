@@ -14,12 +14,12 @@ shape.  Most rows are decided from their coefficients alone: the
 kernels are Descartes systems, so Laguerre's rule bounds the zero count
 by the sign changes of the coefficients and of their partial sums, and
 the signs at 0 and at infinity fix its parity.  Rolle's theorem counts
-the rest in float64 where decays vary by row (sweeps); a float32 scan
-of one shared grid in u = decay * x, where one decay row is shared.  A
-row a stage cannot sign takes its sequence from the careful scan of its
-own float64 polynomial, so ``descartes.ZERO_EPS`` is the one rule for
-what counts as zero.  Any apparent violation is re-checked with the
-careful scalar classifier before it is reported.
+the rest in float64, with no grid, whether the decays vary by row
+(sweeps) or one decay row is shared (fixed models).  A row it cannot
+sign takes its sequence from the careful scan of its own float64
+polynomial, so ``descartes.ZERO_EPS`` is the one rule for what counts
+as zero.  Any apparent violation is re-checked with the careful scalar
+classifier before it is reported.
 """
 
 from __future__ import annotations
@@ -55,16 +55,12 @@ from .vasicek import ScaleRegime, VasicekModel, coefficient_core, ou_exact_step,
 
 RhoClassOption = Literal["nonnegative", "negative", "any"]
 
-#: Grid resolution of the batched scan.
-BATCH_SAMPLES = 512
-#: Rows per float32 pass: a (rows, 512) array is 512 KB at 256 rows.
-_CHUNK = 256
 #: Rolle stage: rows per block, a zero's relative accuracy, its step limit.
-_BLOCK, _RTOL, _MAX_STEPS = 8192, 1e-8, 100
+_BLOCK, _RTOL, _MAX_STEPS = 2048, 1e-8, 100
 _KIND = {"forward": F_KIND, "yield": G_KIND}  # each curve's kernel
-#: Bound on a row's coefficient magnitude sum and on the square of its
-#: largest scaled decay (G divides by u^2): the float32 sums and samples
-#: then stay finite, with room for rounding.
+#: Bound on a row's coefficient magnitude sum and on (WINDOW_EFOLDINGS *
+#: largest decay / slowest decay)^2: the batch scan's documented input
+#: range (README, exit code 2).
 _FLOAT32_SAFE = 0.5 * float(np.finfo(np.float32).max)
 
 
@@ -229,34 +225,11 @@ def _terminal_signs(decays: np.ndarray, coeffs: np.ndarray, kind: str) -> np.nda
     return np.sign(weighted).astype(np.int8)
 
 
-def _g_series32(u: np.ndarray) -> np.ndarray:
-    # Series through u^4; next term u^5/840 stays below the float32 noise
-    # floor for u < 0.25.
-    return 0.5 + u * (
-        np.float32(-1.0 / 3.0)
-        + u * (np.float32(0.125) + u * (np.float32(-1.0 / 30.0) + u * np.float32(1.0 / 144.0)))
-    )
-
-
 def _careful_first_changes(kind: str, decays: np.ndarray, coeffs: np.ndarray) -> tuple[int, int]:
     """(first sign, change count) of one row by ``sseq_of_dpoly``, its
     slots reversed into Descartes order (decreasing decay)."""
     sseq, _ = sseq_of_dpoly(DPolynomial(ExpBasis(kind, decays[::-1]), coeffs[::-1]))
     return (int(sseq.signs[0]), len(sseq) - 1) if len(sseq) else (0, 0)
-
-
-def _basis_samples(d: np.ndarray, t: np.ndarray, curves: tuple[str, ...]) -> dict:
-    """exp(-u) and G(u) at u = d * t, for d a scalar or a row of decays."""
-    u = np.multiply(d[..., None], t)
-    samples = {"forward": np.exp(-u)}
-    if "yield" in curves:
-        # u grows along t, so the series region u < 0.25 is a column prefix.
-        lead = int(np.count_nonzero(np.min(d) * t < 0.25))
-        series, small = _g_series32(u[..., :lead]), u[..., :lead] < 0.25
-        g = (1.0 - samples["forward"] * (u + 1.0)) / (u * u)
-        np.copyto(g[..., :lead], series, where=small)
-        samples["yield"] = g
-    return samples
 
 
 def _certify(decays: np.ndarray, coeffs: np.ndarray, term: dict, abs_sum: np.ndarray) -> tuple:
@@ -301,16 +274,16 @@ def _scan_curves(
     l, as M = x^2 m has M(0) = 0 and M' = x l (Rolle).  A count has the
     parity of [first != terminal sign], so ``_certify`` decides the rows
     whose B = min(V, P) is below that parity plus 2.  The rest go to
-    ``_rolle_scan`` if decays vary by row, else to ``_grid_scan``, and the
-    rows those defer to ``_careful_first_changes``.  A row whose magnitude
-    sum, or squared largest scaled decay, is not below ``_FLOAT32_SAFE``
-    raises ValueError, certified or not.
+    ``_rolle_scan``, and the rows it defers to ``_careful_first_changes``.
+    A row whose magnitude sum, or (``WINDOW_EFOLDINGS`` * largest / slowest
+    decay)^2, is not below ``_FLOAT32_SAFE`` raises ValueError, certified
+    or not.
     """
     if not np.all(decays * (WINDOW_EFOLDINGS / decays[..., :1]) < np.sqrt(_FLOAT32_SAFE)):
-        raise ValueError("decay rates spread too widely for the float32 batch scan")
+        raise ValueError("decay rates spread too widely for the batch scan")
     abs_sum = np.sum(np.abs(coeffs), axis=1)
     if not np.all(abs_sum < _FLOAT32_SAFE):
-        raise ValueError("curve coefficients exceed the float32 range of the batch scan")
+        raise ValueError("curve coefficients exceed the range of the batch scan")
     term = {c: _terminal_signs(decays, coeffs, _KIND[c]) for c in curves}
     first, _, decided = _certify(decays, coeffs, term, abs_sum)
     out = {c: (np.where(ok, first, 0).astype(np.int8), (ok & (first != term[c])).astype(np.int32))
@@ -318,8 +291,7 @@ def _scan_curves(
     rows = np.flatnonzero(~np.logical_and.reduce(list(decided.values())))
     if rows.size:
         sub, a = (decays if decays.ndim == 1 else decays[rows]), coeffs[rows]
-        scan = _grid_scan if decays.ndim == 1 else _rolle_scan
-        got, deferred = scan(sub, a, abs_sum[rows], {c: term[c][rows] for c in curves})
+        got, deferred = _rolle_scan(sub, a, {c: term[c][rows] for c in curves})
         for c in curves:
             pick, careful = ~decided[c][rows], deferred[c] & ~decided[c][rows]
             if careful.any():  # one careful scan per distinct row
@@ -365,21 +337,24 @@ def _level_zeros(e: np.ndarray, c: np.ndarray, pts: np.ndarray, sign: np.ndarray
     return zeros
 
 
-def _rolle_scan(decays: np.ndarray, coeffs: np.ndarray, abs_sum: np.ndarray, term: dict) -> tuple:
+def _rolle_scan(decays: np.ndarray, coeffs: np.ndarray, term: dict) -> tuple:
     """(first sign, change count) per row by Rolle's theorem (README,
-    Numerical notes), and the rows deferred, for the curves of ``term``
-    (curve -> terminal signs).  Level i, sum_{j>=i} c_ij exp(-(d_j - d_i)
-    x) with c_0j = a_j and c_ij = c_(i-1)j (d_j - d_(i-1)), has one zero
-    between consecutive points of (0, level i+1's zeros, X) of opposite
-    sign, and none past X, where its slowest term outweighs twice the
-    rest.  A row with c_ii = 0, a value within ``ZERO_EPS`` of its term
-    magnitude sum, a zero not found or an end sum in its floor is deferred.
+    Numerical notes), and the rows deferred, for decays (n, k) or a shared
+    row (k,) and the curves of ``term`` (curve -> terminal signs).  Level
+    i, sum_{j>=i} c_ij exp(-(d_j - d_i) x) with c_0j = a_j and c_ij =
+    c_(i-1)j (d_j - d_(i-1)), has one zero between consecutive points of
+    (0, level i+1's zeros, X) of opposite sign, and none past X, where its
+    slowest term outweighs twice the rest.  Slots zero in every row are
+    left out, since one would defer them all; a row with c_ii = 0, a value
+    within ``ZERO_EPS`` of its term magnitude sum, a zero not found or an
+    end sum in its floor is deferred.
     """
-    n, k = coeffs.shape
+    decays, keep = np.broadcast_to(decays, coeffs.shape), np.any(coeffs != 0.0, axis=0)
+    n, k = coeffs.shape[0], int(np.count_nonzero(keep))
     out = {c: (np.zeros(n, dtype=np.int8), np.zeros(n, dtype=np.int32)) for c in term}
     deferred = {c: np.zeros(n, dtype=bool) for c in term}
     for sl in (slice(start, start + _BLOCK) for start in range(0, n, _BLOCK)):
-        d, a = decays[sl], coeffs[sl]
+        d, a = decays[sl][:, keep], coeffs[sl][:, keep]
         levels = [(d - d[:, :1], a)]
         for i in range(1, k - 1):
             levels.append((d[:, i:] - d[:, i : i + 1], levels[-1][1][:, 1:] * levels[-1][0][:, 1:]))
@@ -415,63 +390,6 @@ def _rolle_scan(decays: np.ndarray, coeffs: np.ndarray, abs_sum: np.ndarray, ter
                 parity[rows] = np.count_nonzero(np.diff(seq), axis=1)
         for c in term:
             out[c][0][sl], (out[c][1][sl], deferred[c][sl]) = first, counts[c]
-    return out, deferred
-
-
-def _grid_scan(decays: np.ndarray, coeffs: np.ndarray, abs_sum: np.ndarray, term: dict) -> tuple:
-    """(first sign, change count) per row by the float32 grid, and the
-    rows deferred, for one decay row (k,) shared by every row and the
-    curves of ``term`` (curve -> terminal signs).
-
-    The row, scaled so that slot 0 has float32 decay 20, is sampled once
-    at u = decay * x over x <= ``WINDOW_EFOLDINGS`` / min decay, exp(-u)
-    below the smallest normal float32 flushed to 0.  Samples add a_j b_j
-    in slot order (``np.einsum``, which does not fuse).  A sample with |v|
-    > 2e-6 * abs_sum * b_0 keeps its float32 sign; rows with one inside
-    that bound build vm = sum_j |a_j| b_j, and a row with a sample at or
-    below 1e-6 * vm (or NaN) is deferred.
-    """
-    curves = tuple(term)
-    n = coeffs.shape[0]
-    out = {c: (np.zeros(n, dtype=np.int8), np.zeros(n, dtype=np.int32)) for c in curves}
-    m = BATCH_SAMPLES
-    d = (decays * (WINDOW_EFOLDINGS / decays[:1])).astype(np.float32)
-    t = np.linspace(0.0, 1.0, m)[1:].astype(np.float32)
-    table = _basis_samples(d, t, curves)  # (k, m - 1)
-    table["forward"][table["forward"] < np.finfo(np.float32).tiny] = 0.0
-    half = {"forward": 1.0, "yield": 0.5}
-    ceiling = {c: np.float32(2e-6) * np.concatenate((np.float32([half[c]]), table[c][0]))
-               for c in curves}  # per unit of abs_sum, the bound at x = 0 and along t
-    coef_sum, abs_sum = np.sum(coeffs, axis=1).astype(np.float32), abs_sum.astype(np.float32)
-    deferred = {c: np.zeros(n, dtype=bool) for c in curves}
-    # Workspaces: sums and product scratch.  glibc keeps one block this
-    # size on the heap between calls; separate arrays would be trimmed and
-    # faulted in again each call.
-    cap = min(n, _CHUNK)
-    acc, prod = np.empty((2, cap, m - 1), dtype=np.float32)
-    pos, flips = np.empty((cap, m), dtype=bool), np.empty((cap, m - 1), dtype=bool)
-    for start in range(0, n, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, n))
-        a = coeffs[sl].astype(np.float32)
-        r = a.shape[0]
-        for curve in curves:
-            v = np.einsum("ij,jk->ik", a, table[curve], out=acc[:r])  # x > 0
-            v0 = half[curve] * coef_sum[sl]  # x = 0
-            pos[:r, 0] = v0 > 0
-            np.greater(v, 0, out=pos[:r, 1:])
-            changes = np.not_equal(pos[:r, 1:], pos[:r, :-1], out=flips[:r]).sum(axis=1)
-            changes += (term[curve][sl] != 0) & (term[curve][sl] != 2 * pos[:r, -1] - 1)
-            out[curve][0][sl], out[curve][1][sl] = 2 * pos[:r, 0] - 1, changes
-            np.abs(v, out=v)  # v holds |v| from here on
-            bound = np.multiply(abs_sum[sl, None], ceiling[curve][1:], out=prod[:r])
-            clear = np.abs(v0) > abs_sum[sl] * ceiling[curve][0]
-            clear &= np.greater(v, bound, out=flips[:r]).all(axis=1)
-            rows = np.flatnonzero(~clear)
-            if rows.size:
-                vm = np.einsum("ij,jk->ik", np.abs(a[rows]), table[curve])
-                signed = np.abs(v0[rows]) > np.float32(1e-6) * (half[curve] * abs_sum[sl][rows])
-                signed &= (v[rows] > np.float32(1e-6) * vm).all(axis=1)
-                deferred[curve][start + rows[~signed]] = True
     return out, deferred
 
 

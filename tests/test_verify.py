@@ -13,7 +13,7 @@ from termshapes import vasicek as vk
 from termshapes import verify as vf
 from termshapes.attain import construct_target
 from termshapes.descartes import F_KIND, G_KIND, DPolynomial, ExpBasis, sseq_of_dpoly
-from termshapes.signseq import NAMED_SHAPES, SignSeq
+from termshapes.signseq import NAMED_SHAPES
 from termshapes.vasicek import ScaleRegime, VasicekModel
 from termshapes.verify import (
     SweepConfig,
@@ -104,10 +104,9 @@ class TestSweep:
 
 class TestBatchAgainstCareful:
     def test_batch_matches_careful_classifier(self):
-        # The float32 batch scan may only ever under-detect relative to
-        # the careful float64 path: its sequence must be a subsequence,
-        # and in practice nearly always identical.
-        exact = checked = 0
+        # The certificate and the Rolle stage count exactly, and the rows
+        # they cannot sign take the careful scan: every batch shape is
+        # the careful classifier's.
         for k, (regime, rho_class) in enumerate(REGIME_CLASSES):
             cfg = SweepConfig(
                 regime=regime, rho_class=rho_class, n_samples=250, seed=500 + k
@@ -123,73 +122,7 @@ class TestBatchAgainstCareful:
                 ):
                     first, changes = scans[curve]
                     code = vf._shape_codes(first[i : i + 1], changes[i : i + 1])[0]
-                    batch_shape = decode_shape(int(code))
-                    report = fn(model, z)
-                    checked += 1
-                    if batch_shape == report.shape:
-                        exact += 1
-                    else:
-                        batch_seq = (
-                            SignSeq.pure(batch_shape.first, batch_shape.changes)
-                            if batch_shape.first
-                            else ss.EMPTY_PURE
-                        )
-                        assert ss.subsequence(batch_seq, report.derivative_sseq)
-        assert exact / checked > 0.98
-
-
-#: The oracle's own copy of the float32 floor: float32 does not sign a
-#: sample within this share of its magnitude sum.
-_OLD_FLOOR = np.float32(1e-6)
-
-
-def _two_accumulator_scan(decays, coeffs, m=vf.BATCH_SAMPLES, curves=("forward", "yield")):
-    """The batch scan before the bound-first zero test; an oracle.
-
-    Every row accumulates its values and its magnitude sums in float32,
-    slot by slot, each slot's samples made from the row's own scaled
-    decay.  Returns per curve the (first sign, change count) of every
-    row, and a mask of the rows with a sample at or below ``_OLD_FLOOR``
-    of its magnitude sum, whose counts the oracle does not decide.
-    """
-    n, k = coeffs.shape
-    d = (decays * (20.0 / decays[..., :1])).astype(np.float32)
-    t = np.linspace(0.0, 1.0, m)[1:].astype(np.float32)
-    shared = [vf._basis_samples(d[j], t, curves) for j in range(k)] if d.ndim == 1 else None
-    coef_sum = np.sum(coeffs, axis=1).astype(np.float32)
-    abs_sum = np.sum(np.abs(coeffs), axis=1).astype(np.float32)
-    out = {
-        c: (np.zeros(n, dtype=np.int8), np.zeros(n, dtype=np.int32), np.zeros(n, dtype=np.int8))
-        for c in curves
-    }
-    floor = {c: np.zeros(n, dtype=bool) for c in curves}
-    for start in range(0, n, vf._CHUNK):
-        sl = slice(start, min(start + vf._CHUNK, n))
-        a = coeffs[sl].astype(np.float32)
-        a_abs = np.abs(a)
-        sums = {}
-        for curve in curves:
-            half = 1.0 if curve == "forward" else 0.5
-            v, vm = np.zeros((2, a.shape[0], m), dtype=np.float32)
-            v[:, 0], vm[:, 0] = half * coef_sum[sl], half * abs_sum[sl]
-            sums[curve] = v, vm
-        for j in range(k):
-            basis = shared[j] if shared else vf._basis_samples(d[sl, j], t, curves)
-            for curve, (v, vm) in sums.items():
-                v[:, 1:] += a[:, j, None] * basis[curve]
-                vm[:, 1:] += a_abs[:, j, None] * basis[curve]
-        for curve, (v, vm) in sums.items():
-            floor[curve][sl] = ~(np.abs(v) > _OLD_FLOOR * vm).all(axis=1)
-            pos = v > 0
-            first, changes, last = out[curve]
-            first[sl], last[sl] = np.where(pos[:, 0], 1, -1), np.where(pos[:, -1], 1, -1)
-            changes[sl] = (pos[:, 1:] != pos[:, :-1]).sum(axis=1)
-    results = {}
-    for curve in curves:
-        first, changes, last = out[curve]
-        term = vf._terminal_signs(decays, coeffs, F_KIND if curve == "forward" else G_KIND)
-        results[curve] = (first, changes + ((term != 0) & (term != last)))
-    return results, floor
+                    assert decode_shape(int(code)) == fn(model, z).shape
 
 
 def _careful_first_changes(kind, decays, coeffs):
@@ -265,11 +198,9 @@ def _sweep_rows(n, reg=ScaleRegime.SEPARATED, lam2_ratio=None):
     return vf._slot_arrays(inst, reg)
 
 
-# Per-row and shared decay rows, with lambda2 = 2 lambda1 (1 -/+ 5e-7)
-# putting two slots within 1e-6 of each other near the G series switch.
-# Slots 0 and 1 (scaled decays 20 and 40) of a separated sweep are shared
-# by every row; a proximal sweep shares slots 0 and 2, so its second
-# shared slot follows a per-row one; a critical sweep shares every slot.
+# Per-row decay rows of sweeps in each regime and shared decay rows of
+# fixed models; lambda2 = 2 lambda1 (1 -/+ 5e-7) puts two slots within
+# 1e-6 of each other.
 BOUND_SOURCES = {
     "sweep": _sweep_rows,
     "sweep-proximal": lambda n: _sweep_rows(n, ScaleRegime.PROXIMAL),
@@ -285,34 +216,17 @@ def _edit(coeffs, edit):
     """A copy of ``coeffs`` with one of two near-zero edits."""
     coeffs, n = coeffs.copy(), coeffs.shape[0]
     if edit == "tiny-slowest":
-        # Inside the grid's bound but clear of its floor, except every 16th
-        # row, whose coefficients sum to zero: l(0) = 0.
+        # A slowest coefficient 1e-9 of its size, and every 16th row's
+        # coefficients summing to zero: l(0) = 0.
         coeffs[:, 0] *= 1e-9
         coeffs[::16, -1] = -coeffs[::16, :-1].sum(axis=1)
     else:
         # x = 0 sums between 0.5e-6 and 3e-6 of the magnitude sum, of
-        # either sign: around the grid's old floor and inside its bound.
+        # either sign: l(0) near zero but far above ``ZERO_EPS``.
         rest = coeffs[:, :-1]
         rel = np.linspace(1e-6, 3e-6, n) * np.where(np.arange(n) % 2, 1.0, -1.0)
         coeffs[:, -1] = rel * np.abs(rest).sum(axis=1) - rest.sum(axis=1)
     return coeffs
-
-
-def _grid_rows(decays, coeffs):
-    """``verify._grid_scan`` of per-row decays, one call per row with its
-    decays as the shared row."""
-    n = coeffs.shape[0]
-    out = {c: (np.zeros(n, dtype=np.int8), np.zeros(n, dtype=np.int32)) for c in vf._KIND}
-    for i in range(n):
-        d, a = decays[i], coeffs[i : i + 1]
-        term = {c: vf._terminal_signs(d, a, kind) for c, kind in vf._KIND.items()}
-        got, deferred = vf._grid_scan(d, a, np.abs(a).sum(axis=1), term)
-        for c, kind in vf._KIND.items():
-            first_changes = (got[c][0][0], got[c][1][0])
-            if deferred[c][0]:
-                first_changes = _careful_first_changes(kind, d, a[0])
-            out[c][0][i], out[c][1][i] = first_changes
-    return out
 
 
 def _one_factor_models(n, seed):
@@ -365,20 +279,13 @@ class TestSlotLayout:
             assert tuple(coeffs[i, ::-1].tolist()) == poly.coefficients
 
 
-def _assert_matches_oracle(got, decays, coeffs):
-    """Rows whose samples all clear the oracle's float32 floor keep its
-    counts bit for bit; the rest are the careful scan's.  Returns the
-    oracle's floor masks."""
-    want, floor = _two_accumulator_scan(decays, coeffs)
+def _assert_matches_careful(got, decays, coeffs):
+    """Every row's (first sign, change count) is the careful scan's."""
     row_decays = np.broadcast_to(decays, coeffs.shape)
-    for curve, kind in (("forward", F_KIND), ("yield", G_KIND)):
-        signed = ~floor[curve]
-        for g, w in zip(got[curve], want[curve]):
-            np.testing.assert_array_equal(g[signed], w[signed])
-        for i in np.flatnonzero(floor[curve]):
+    for curve, kind in vf._KIND.items():
+        for i in range(coeffs.shape[0]):
             careful = _careful_first_changes(kind, row_decays[i], coeffs[i])
             assert (got[curve][0][i], got[curve][1][i]) == careful
-    return floor
 
 
 class TestCertificate:
@@ -458,7 +365,7 @@ class TestRolle:
         def check(case):
             decays, coeffs = case
             term = {c: vf._terminal_signs(decays, coeffs, kind) for c, kind in vf._KIND.items()}
-            got, deferred = vf._rolle_scan(decays, coeffs, np.abs(coeffs).sum(axis=1), term)
+            got, deferred = vf._rolle_scan(decays, coeffs, term)
             for curve, kind in vf._KIND.items():
                 for i in np.flatnonzero(~deferred[curve]):
                     careful = _careful_first_changes(kind, decays[i], coeffs[i])
@@ -481,12 +388,12 @@ class TestRolle:
 
     @pytest.mark.parametrize("source", ["fixed-critical-5e-7", "fixed-critical+5e-7"])
     def test_row_138_counts_both_zeros(self, source):
-        # The shared grid reads this forward curve with 0 changes where it
-        # has 2, so a yield count derived from the grid's forward count
-        # would read 0; as a per-row row it takes the Rolle stage.
+        # A float32 grid read this forward curve with 0 changes where it
+        # has 2, so a yield count derived from that forward count would
+        # read 0.  The shared decay row takes the Rolle stage.
         decays, coeffs = BOUND_SOURCES[source](256)
         coeffs = _edit(coeffs, "cancel-at-zero")[138:139]
-        got = vf._scan_curves(decays[None], coeffs)
+        got = vf._scan_curves(decays, coeffs)
         for curve, kind in vf._KIND.items():
             careful = _careful_first_changes(kind, decays, coeffs[0])
             assert careful == (-1, 2)
@@ -495,80 +402,35 @@ class TestRolle:
 
 class TestScanInternals:
     @pytest.mark.parametrize("name", sorted(SHARED_MODELS))
-    @pytest.mark.parametrize("n", [0, 1, vf._CHUNK - 1, vf._CHUNK, vf._CHUNK + 1])
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257])
     def test_shared_decay_row_matches_per_row_decays(self, name, n):
-        # The oracle samples the tiled rows row by row; the scan samples
-        # the shared row once.
+        # The scan takes the shared row; the careful scan each row's copy.
         decays, coeffs = _slot_rows(SHARED_MODELS[name], n, seed=n)
         assert decays.ndim == 1 and coeffs.shape == (n, decays.size)
-        _assert_matches_oracle(vf._scan_curves(decays, coeffs), np.tile(decays, (n, 1)), coeffs)
+        _assert_matches_careful(vf._scan_curves(decays, coeffs), np.tile(decays, (n, 1)), coeffs)
 
     @pytest.mark.parametrize("edit", ["tiny-slowest", "cancel-at-zero"])
     @pytest.mark.parametrize("source", sorted(BOUND_SOURCES))
-    @pytest.mark.parametrize("n", [0, 1, vf._CHUNK - 1, vf._CHUNK, vf._CHUNK + 1])
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257])
     def test_bound_first_scan_matches_two_accumulator_oracle(self, source, edit, n):
-        # Sweep rows reach the Rolle stage, not the grid, so the grid is
-        # called on them directly, row by row.
+        # Shared and per-row decay rows, with their sums near zero at x = 0
+        # or their slowest slot tiny, against the careful scan on every row.
         decays, coeffs = BOUND_SOURCES[source](n)
         coeffs = _edit(coeffs, edit)
-        got = vf._scan_curves(decays, coeffs) if decays.ndim == 1 else _grid_rows(decays, coeffs)
-        floor = _assert_matches_oracle(got, decays, coeffs)
-        assert (floor["forward"].any() or floor["yield"].any()) == (n > 0)
+        _assert_matches_careful(vf._scan_curves(decays, coeffs), decays, coeffs)
 
-    @pytest.mark.parametrize(
-        "source",
-        ["sweep", "sweep-proximal", "sweep-critical",
-         "fixed-separated", "fixed-critical", "fixed-one-factor"],
-    )
-    def test_shared_slots_sampled_once_per_call(self, monkeypatch, source):
-        # Fed only rows the certificate leaves, so every row reaches the
-        # stage after it.  The grid samples a fixed model's shared decay
-        # row once per call; sweep rows go to the Rolle stage, which
-        # samples nothing.
-        chunks = 3
-        pool = 64 * chunks * vf._CHUNK
-        if source == "fixed-one-factor":
-            # Two terms: only rows with l(0) = 0 are left, here at z = theta.
-            model = SHARED_MODELS["one-factor"]
-            decays, coeffs = vf._fixed_model_slots(model, np.full((pool, 1), model.theta[0]))
-        elif source.startswith("fixed-"):
-            decays, coeffs = _slot_rows(SHARED_MODELS[source[6:]], pool, seed=1)
-        else:
-            decays, coeffs = BOUND_SOURCES[source](pool)
-        left = np.flatnonzero(~np.logical_and(*_certificate(decays, coeffs)[2].values()))
-        rows = left[: chunks * vf._CHUNK]
-        assert rows.size == chunks * vf._CHUNK
-        decays, coeffs = (decays if decays.ndim == 1 else decays[rows]), coeffs[rows]
-        sizes = []
-        real = vf._basis_samples
-
-        def counted(d, *args):
-            sizes.append(np.size(d))
-            return real(d, *args)
-
-        monkeypatch.setattr(vf, "_basis_samples", counted)
-        vf._scan_curves(decays, coeffs)
-        assert sizes == ([] if source.startswith("sweep") else [coeffs.shape[1]])
-
-    def test_certified_rows_skip_the_grid(self, monkeypatch):
+    def test_certified_rows_skip_the_rolle_stage(self, monkeypatch):
         # One-factor rows have two terms, so V <= 1 and the certificate
         # decides every row whose coefficient sum and G weight clear the
-        # floor: none is sampled or scanned, and each gets the grid's answer.
-        decays, coeffs = _slot_rows(SHARED_MODELS["one-factor"], 3 * vf._CHUNK, seed=4)
+        # floor: none reaches a scan.
+        decays, coeffs = _slot_rows(SHARED_MODELS["one-factor"], 768, seed=4)
         decided = _certificate(decays, coeffs)[2]
         assert decided["forward"].all() and decided["yield"].all()
         calls = []
-        monkeypatch.setattr(vf, "_basis_samples", lambda *args: calls.append(args))
+        monkeypatch.setattr(vf, "_rolle_scan", lambda *args: calls.append(args))
         monkeypatch.setattr(vf, "sseq_of_dpoly", lambda *args: calls.append(args))
-        got = vf._scan_curves(decays, coeffs)
+        vf._scan_curves(decays, coeffs)
         assert calls == []
-        monkeypatch.undo()
-        term = {c: vf._terminal_signs(decays, coeffs, k) for c, k in vf._KIND.items()}
-        grid, deferred = vf._grid_scan(decays, coeffs, np.abs(coeffs).sum(axis=1), term)
-        assert not any(rows.any() for rows in deferred.values())
-        for curve in ("forward", "yield"):
-            for g, w in zip(got[curve], grid[curve]):
-                np.testing.assert_array_equal(g, w)
 
     @pytest.mark.parametrize(
         "decays,coeffs,match",
@@ -599,24 +461,25 @@ class TestScanInternals:
         assert freq == 1.0
         assert len(calls) == 1
 
-    def test_leading_series_columns_match_full_width(self):
-        # Near-critical instances put slots within 1e-6 of each other;
-        # small scaled decays push the series region far into the grid.
-        cfg = SweepConfig(ScaleRegime.SEPARATED, "any", n_samples=300, seed=3)
-        inst = vf.sample_instances(cfg, np.random.default_rng(3), 300)
-        inst["lam2"] = 2 * inst["lam1"] * (1 + np.linspace(-1e-6, 1e-6, 300))
-        decays, _ = vf._slot_arrays(inst, ScaleRegime.SEPARATED)
-        scaled = (decays * (20.0 / decays[:, :1])).astype(np.float32)
-        t = np.linspace(0.0, 1.0, vf.BATCH_SAMPLES)[1:].astype(np.float32)
-        small = np.float32([0.05, 0.5, 1.0, 7.0])
-        for d in (*scaled.T, small, np.float32(0.5), np.float32(20.0)):
-            u = d[..., None] * t
-            e = np.exp(-u)
-            closed = (1.0 - e * (1.0 + u)) / (u * u)
-            want = np.where(u < 0.25, vf._g_series32(u), closed)
-            got = vf._basis_samples(d, t, ("yield",))
-            np.testing.assert_array_equal(got["yield"], want)
-            np.testing.assert_array_equal(got["forward"], e)
+    @pytest.mark.parametrize("curve", ["forward", "yield"])
+    def test_slots_zero_in_every_row_leave_the_rolle_stage(self, monkeypatch, separated_base,
+                                                            curve):
+        # The constructed HDH model's slot 3 is zero in every state.  Kept,
+        # it would make the Rolle stage defer every row it gets to the
+        # careful scan.
+        sol, _ = construct_target("HDH", separated_base)
+        decays, coeffs = vf._fixed_model_slots(sol.model, sol.state)
+        assert coeffs[0, 3] == 0.0
+        calls = []
+
+        def counted(p, *args):
+            calls.append(p)
+            return sseq_of_dpoly(p, *args)
+
+        monkeypatch.setattr(vf, "sseq_of_dpoly", counted)
+        strict_attainability_mc(sol.model, sol.state, 0.01, 3 * vf._BLOCK, ss.HDH, seed=3,
+                                curve=curve)
+        assert len(calls) <= 5
 
 
 class TestStrictAttainability:
@@ -709,8 +572,8 @@ class TestStateSpaceMap:
 
     @pytest.mark.parametrize("delta", [1e-9, 1e-8, 1.6e-7])
     def test_one_factor_states_just_below_theta_read_humped(self, delta):
-        # The hump lies within float32 noise of the origin, so the batch
-        # scan must hand these rows to the careful scan.
+        # The hump lies so near the origin that a grid would step over
+        # it; the signs at 0 and at infinity still fix it.
         model = SHARED_MODELS["one-factor"]
         z = model.theta[0] - delta
         (fwd_lo, theta), (yld_lo, _) = cl.one_dim_regions(model)
