@@ -419,6 +419,53 @@ class TestScanInternals:
         coeffs = _edit(coeffs, edit)
         _assert_matches_careful(vf._scan_curves(decays, coeffs), decays, coeffs)
 
+    @pytest.mark.parametrize(
+        "source",
+        ["sweep", "sweep-proximal", "sweep-critical",
+         "fixed-separated", "fixed-critical", "fixed-one-factor"],
+    )
+    def test_shared_slots_sampled_once_per_call(self, monkeypatch, source):
+        # Fed only rows the certificate leaves, three blocks of them, so
+        # every row reaches the Rolle stage.  One call takes them all: a
+        # fixed model's shared decay row goes in once, as the (k,) row
+        # itself and never tiled per row; sweep rows bring their own.
+        # Splitting the rows into blocks leaves every answer as it was.
+        blocks, block = 3, 256
+        pool = 64 * blocks * block
+        if source == "fixed-one-factor":
+            # Two terms: only rows with l(0) = 0 are left, here at z = theta.
+            model = SHARED_MODELS["one-factor"]
+            decays, coeffs = vf._fixed_model_slots(model, np.full((pool, 1), model.theta[0]))
+        elif source.startswith("fixed-"):
+            decays, coeffs = _slot_rows(SHARED_MODELS[source[6:]], pool, seed=1)
+        else:
+            decays, coeffs = BOUND_SOURCES[source](pool)
+        left = np.flatnonzero(~np.logical_and(*_certificate(decays, coeffs)[2].values()))
+        rows = left[: blocks * block]
+        assert rows.size == blocks * block and block * blocks <= vf._BLOCK
+        decays, coeffs = (decays if decays.ndim == 1 else decays[rows]), coeffs[rows]
+        whole = vf._scan_curves(decays, coeffs)
+        calls = []
+        real = vf._rolle_scan
+
+        def counted(d, a, term):
+            calls.append((d, a.shape))
+            return real(d, a, term)
+
+        monkeypatch.setattr(vf, "_rolle_scan", counted)
+        monkeypatch.setattr(vf, "_BLOCK", block)
+        got = vf._scan_curves(decays, coeffs)
+        assert len(calls) == 1
+        d, shape = calls[0]
+        assert shape == coeffs.shape
+        if source.startswith("sweep"):
+            assert d.shape == coeffs.shape
+        else:
+            assert d is decays
+        for curve in vf._KIND:
+            for g, w in zip(got[curve], whole[curve]):
+                np.testing.assert_array_equal(g, w)
+
     def test_certified_rows_skip_the_rolle_stage(self, monkeypatch):
         # One-factor rows have two terms, so V <= 1 and the certificate
         # decides every row whose coefficient sum and G weight clear the
