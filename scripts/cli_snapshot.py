@@ -53,8 +53,9 @@ def corpus() -> list[list[str]]:
                 changes = shape_from_label(shape).changes
                 if changes:
                     calls.append(call + ["--extrema", ",".join(map(str, EXTREMA[:changes]))])
-    # Extrema closer than the sign scan's sample spacing: 1e-5 apart
-    # verifies, 1e-7 apart is too close to sign in float64.
+    # Extrema closer than any practical grid spacing: 1e-5 and 1e-7 apart
+    # both verify; at 1e-7 the values between the two zeros are signed at
+    # 50 digits.
     for extrema in ("1,1.00001", "1,1.0000001"):
         for curve in ("forward", "yield"):
             calls.append(["attain", "--model", "readme.json", "--shape", "HD",

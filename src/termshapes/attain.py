@@ -54,6 +54,7 @@ from .descartes import (
     G_KIND,
     _floats,
     _stability_radius,
+    boundary_zero,
     coef_inequality_value,
     interpolate_prescribed_zeros,
 )
@@ -421,6 +422,11 @@ def construct(target: ShapeTarget, base: VasicekModel) -> AttainSolution:
                 f"coefficient inequality not satisfied after {MAX_HALVINGS} "
                 f"halvings (shape {target.shape}, lam={base.lam})"
             )
+        if boundary_zero(poly.coefficients) and not route.boundary_zero:
+            raise NumericalInfeasibilityError(
+                "prescribed zeros too close to 0 to verify: the sign engine reads the first "
+                "as a zero at the boundary"
+            )
         if route.orientation < 0:
             poly = DPolynomial(basis, tuple(-a for a in poly.coefficients))
 
@@ -472,19 +478,6 @@ class AttainVerification:
         }
 
 
-def _stretch_points(zeros: tuple[float, ...]) -> list[float]:
-    """One point strictly inside each sign stretch that the positive
-    prescribed zeros z_1 < ... < z_k leave: the midpoints of 0, z_1, ...,
-    z_k, 2 z_k.  A point that rounds onto 0 or onto a zero means the
-    zeros are too close to verify."""
-    positive = [z for z in zeros if z > 0]
-    ends = [0.0, *positive, 2.0 * positive[-1]] if positive else []
-    points = [0.5 * (a + b) for a, b in zip(ends, ends[1:])]
-    if not all(a < x < b for a, x, b in zip(ends, points, ends[1:])):
-        raise NumericalInfeasibilityError("prescribed zeros too tightly clustered to verify")
-    return points
-
-
 def residuals(sol: AttainSolution) -> float:
     """Largest relative mismatch when the solution is substituted back
     into the coefficient-matching system, slot by slot of the layout."""
@@ -496,10 +489,9 @@ def residuals(sol: AttainSolution) -> float:
 
 def verify_solution(sol: AttainSolution, target: ShapeTarget) -> AttainVerification:
     """Classify the constructed curve and re-substitute the solution; the
-    sign scan adds ``_stretch_points`` to its fixed window, and they
-    bracket the prescribed zeros however close they lie."""
+    Rolle descent resolves the prescribed zeros however close they lie."""
     poly = (l_coefficients if target.curve == "forward" else m_coefficients)(sol.model, sol.state)
-    report = _classify(poly, target.curve, _stretch_points(sol.prescribed_zeros))
+    report = _classify(poly, target.curve)
 
     messages = []
     shape_matched = report.shape == target.shape

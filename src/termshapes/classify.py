@@ -2,9 +2,8 @@
 
 A curve's shape is read off its derivative: the classifier builds the
 derivative D-polynomial, extracts its reduced sign sequence on
-[0, inf) with ``sseq_of_dpoly`` (one fixed window, 4,096 samples over
-20 e-foldings of the slowest decay, plus any stretch points the caller
-knows), and names the resulting hump/dip pattern.  The module also
+[0, inf) with ``sseq_of_dpoly`` (Rolle's descent, with no grid), and
+names the resulting hump/dip pattern.  The module also
 exposes the theoretical admissibility sets per scale regime and
 correlation sign, the per-instance sign-sequence bounds implied by
 variation diminishing, and the closed-form state-space regions of the
@@ -14,10 +13,10 @@ one-factor model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal
 
 from . import signseq
-from .descartes import REFINE_TOL, WINDOW_SAMPLES, DPolynomial, sseq_of_dpoly
+from .descartes import REFINE_TOL, DPolynomial, sseq_of_dpoly
 from .signseq import (
     DH,
     DHD,
@@ -111,7 +110,7 @@ def rho_class_of(model: VasicekModel) -> RhoClass:
     return "nonnegative" if model.rho >= 0 else "negative"
 
 
-def _classify(poly: DPolynomial, curve: Curve, probes: Sequence[float] = ()) -> ShapeReport:
+def _classify(poly: DPolynomial, curve: Curve) -> ShapeReport:
     if poly.is_zero:
         return ShapeReport(
             curve=curve,
@@ -120,7 +119,7 @@ def _classify(poly: DPolynomial, curve: Curve, probes: Sequence[float] = ()) -> 
             extrema=(),
             diagnostics={"flat": True},
         )
-    sseq, zeros = sseq_of_dpoly(poly, probes)
+    sseq, zeros = sseq_of_dpoly(poly)
     shape = signseq.shape_of(sseq)
 
     extrema = []
@@ -135,8 +134,6 @@ def _classify(poly: DPolynomial, curve: Curve, probes: Sequence[float] = ()) -> 
         if abs(a) < BOUNDARY_RTOL * scale
     ]
     diagnostics = {
-        "x_max": poly.basis.window_end,
-        "n_samples": WINDOW_SAMPLES,
         "refine_tol": REFINE_TOL,
         "boundary_coefficient_slots": boundary,
         "zero_residuals": [abs(poly(z)) for z in zeros],

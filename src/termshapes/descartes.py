@@ -25,6 +25,7 @@ the sign sequence cannot change.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -38,6 +39,10 @@ from .signseq import EMPTY_PURE, Sign, SignSeq, reduce as reduce_sseq
 #: evaluated by series instead of the closed form, whose rounding error
 #: of about 3.4e-16 / u relative would otherwise exceed ``ZERO_EPS``.
 _G_SERIES_CUTOFF = 4e-3
+#: Where M = x^2 p switches a term to its residual form: past u = 3 the
+#: decaying part's rounding, about (1+u)^2 e^-u relative to a / d^2, is
+#: below the closed form's, about 1.
+_RESIDUAL_FROM = 3.0
 
 #: Precision (decimal digits) for interpolation minor determinants.  The
 #: minors collapse like prod (r_j - r_i) as the prescribed zeros cluster,
@@ -46,16 +51,15 @@ _G_SERIES_CUTOFF = 4e-3
 #: correct to full double precision.
 _MINOR_DPS = 50
 
-#: Sign scan: a sample is zero at or below ZERO_EPS times the local sum of
-#: term magnitudes (the evaluation's cancellation noise scale), and each
-#: zero is bisected to REFINE_TOL (absolute in the window, relative past it).
+#: The x = 0 rule: a coefficient sum within ZERO_EPS of the magnitude sum
+#: is a zero at the boundary (the batch scan also defers a row whose value
+#: lies within ZERO_EPS of its term magnitude sum).  Zeros are refined to
+#: REFINE_TOL relative, in at most _MAX_NEWTON_STEPS steps.
 ZERO_EPS = 1e-12
 REFINE_TOL = 1e-10
+_MAX_NEWTON_STEPS = 200
+_UNIT_ROUNDOFF = 2.0**-53
 
-#: The sign scan's window: WINDOW_SAMPLES points over WINDOW_EFOLDINGS
-#: e-foldings of the slowest decay (``ExpBasis.window_end``).
-WINDOW_EFOLDINGS = 20.0
-WINDOW_SAMPLES = 4096
 MAX_BASIS_SIZE = 5
 #: Smallest positive decay rate.  The G kind weighs each term by
 #: 1/decay^2 at infinity, which overflows below about 7.5e-155.
@@ -76,11 +80,11 @@ def _floats(values, name: str) -> tuple[float, ...]:
 
 
 class NumericalInconsistencyError(RuntimeError):
-    """Scanned sign changes contradict the variation-diminishing bound.
+    """The Rolle descent contradicts the variation-diminishing bound.
 
-    Raised when a scan reads more sign changes than the basis allows, a
-    change without a located zero, or a probe without a strong sign: the
-    window or the zero threshold does not fit the polynomial at hand.
+    Raised when it reads more sign changes than the basis allows or a
+    change without a located zero, finds no finite bound where the
+    slowest term settles the sign, or a zero does not converge.
     """
 
 
@@ -118,10 +122,6 @@ class ExpBasis:
     def min_positive_decay(self) -> float:
         positive = [a for a in self.decays if a > 0]
         return min(positive) if positive else 1.0
-
-    @property
-    def window_end(self) -> float:
-        return WINDOW_EFOLDINGS / self.min_positive_decay
 
 
 @dataclass(frozen=True)
@@ -230,277 +230,313 @@ def _scalar_dpoly(p: DPolynomial):
     return value
 
 
-def initial_sign(p: DPolynomial) -> Sign:
-    """Sign of the polynomial at x = 0.
+def _levels(decays, coeffs):
+    """Rolle levels of sum_j a_j exp(-d_j x) for decays increasing along
+    the last axis (one row, or rows of a batch), and the settle bound X.
 
-    Equals sign(sum of coefficients) for the F kind and half that for
-    the G kind, so the two kinds always agree.
+    Level 0 is exp(d_0 x) times the sum.  Level i is sum_{j>=i} c_ij
+    exp(-(d_j - d_i) x) with c_0j = a_j and c_ij = c_(i-1)j (d_j -
+    d_(i-1)): a positive multiple of minus the derivative of level i-1,
+    with one term fewer.  Levels run to the two-term level k-2.  Past X
+    every level's slowest term outweighs twice the rest; X is inf or NaN
+    where some c_ii is 0 or a ratio overflows.
     """
-    return Sign.of(math.fsum(p.coefficients))
+    k = coeffs.shape[-1]
+    levels = [(decays - decays[..., :1], coeffs)]
+    for i in range(1, k - 1):
+        e, c = levels[-1]
+        levels.append((decays[..., i:] - decays[..., i : i + 1], c[..., 1:] * e[..., 1:]))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ends = [np.log(np.maximum(2 * k * np.abs(c[..., 1:] / c[..., :1]), 1.0)) / e[..., 1:]
+                for e, c in levels]
+    return levels, np.fmax.reduce(np.concatenate(ends, axis=-1), axis=-1, initial=0.0)
 
 
-def terminal_sign(p: DPolynomial) -> Sign:
-    """Sign of the polynomial as x -> infinity.
+def boundary_zero(coefficients: Sequence[float]) -> bool:
+    """The x = 0 rule: a coefficient sum within ``ZERO_EPS`` of the
+    magnitude sum is a zero at the boundary, which drops out of the sign
+    sequence rather than contribute a noise-level leading sign."""
+    return abs(math.fsum(coefficients)) <= ZERO_EPS * math.fsum(map(abs, coefficients))
 
-    F kind: the slowest-decaying term with a nonzero coefficient wins.
-    G kind: x^2 g_a(x) -> 1/a^2, so the sign is that of
-    sum a_i / alpha_i^2; a zero-decay term has a divergent weight and
-    dominates outright if present.
+
+def _sign(v: float) -> int:
+    return (v > 0) - (v < 0)
+
+
+def _fixed(values, bits: int | None = None) -> tuple[list[int], int]:
+    """mpf values as integers times one power of two: exactly (over the
+    smallest exponent) for bits None, else to 2^-bits of the largest."""
+    parts = [(-m if s else m, e) for s, m, e, _ in (v._mpf_ for v in values)]
+    nonzero = [(m, e) for m, e in parts if m]
+    e0 = (min((e for _, e in nonzero), default=0) if bits is None
+          else max(m.bit_length() + e for m, e in nonzero) - bits)
+    return [m << (e - e0) if e >= e0 else m >> (e0 - e) for m, e in parts], e0
+
+
+def _scaled(m: int, e: int) -> float:
+    """m 2^e as a float, for an integer m of any size."""
+    shift = max(m.bit_length() - 60, 0)
+    return math.ldexp(m >> shift, e + shift)
+
+
+def _quadratic_roots(v: float, s: float, c: float) -> list[float]:
+    """The steps h that zero v + s h + c h^2 / 2."""
+    disc = s * s - 2.0 * v * c
+    if not c or disc < 0.0:
+        return [-v / s] if s and not c else []
+    return [(-s + math.sqrt(disc)) / c, (-s - math.sqrt(disc)) / c]
+
+
+class _Descent:
+    """Rolle's theorem on one D-polynomial (README, Numerical notes).
+
+    The nonzero terms, slowest first, give the levels of ``_levels``.
+    Level i is monotone between 0, the zeros of level i+1 and X, so from
+    the two-term bottom level up, each bracket of those points whose end
+    signs differ holds one zero.  Level 0 is l, the F kind itself.  The G
+    kind's signs are those of M = x^2 p, and M' = x l with M(0) = 0, so M
+    is monotone between the zeros of l.  Every value comes from
+    ``_point``: float64 where it clears its rounding bound, else 50 digits.
     """
-    if p.is_zero:
-        return Sign.ZERO
-    if p.basis.kind == F_KIND:
-        for a in reversed(p.coefficients):
-            if a != 0.0:
-                return Sign.of(a)
-        return Sign.ZERO
-    for a, alpha in zip(p.coefficients, p.basis.decays):
-        if alpha == 0.0 and a != 0.0:
-            return Sign.of(a)
-    weighted = math.fsum(
-        a / (alpha * alpha)
-        for a, alpha in zip(p.coefficients, p.basis.decays)
-        if alpha > 0.0
-    )
-    return Sign.of(weighted)
 
-
-def _bisect_zero(p: DPolynomial, lo: float, hi: float, flo: float, tol: float) -> float:
-    """Locate the sign change inside a bracket with opposite-sign ends, to
-    ``tol`` or to adjacent floats, whichever is wider.  Midpoints are
-    evaluated in ``math`` (``_scalar_dpoly``).  The ends are strong samples
-    of the numpy array scan; their ``math`` values carry the same sign
-    wherever the evaluation noise lies below ``ZERO_EPS``."""
-    value = _scalar_dpoly(p)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        fmid = value(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _log_bisect(fn, lo: float, hi: float, flo: float, rtol: float) -> float:
-    """Bracketed sign change located to relative tolerance in log space
-    (or until the midpoint leaves the bracket by rounding or overflow)."""
-    while hi > lo * (1.0 + rtol):
-        mid = math.sqrt(lo * hi)
-        if not lo < mid < hi:
-            break
-        fmid = fn(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return math.sqrt(lo * hi)
-
-
-_TAIL_SAMPLES = 2048
-
-
-def _strong_signs(xs: np.ndarray, vals: np.ndarray, mag: np.ndarray):
-    """Compressed strong signs of sampled values, one (lo, hi, f(lo))
-    bracket per sign change, and the abscissa of the last nonzero sample
-    (None if every sample is zero).
-
-    A sample counts as zero when its magnitude is at most ``ZERO_EPS``
-    times ``mag``, the local sum of term magnitudes.
-    """
-    raw = np.where(np.abs(vals) <= ZERO_EPS * mag, 0, np.where(vals > 0, 1, -1))
-    nz = np.flatnonzero(raw)
-    if nz.size == 0:
-        return [], [], None
-    s = raw[nz]
-    switches = np.flatnonzero(s[1:] != s[:-1])
-    signs = [Sign(int(s[0]))] + [Sign(int(s[k + 1])) for k in switches]
-    brackets = [
-        (float(xs[nz[k]]), float(xs[nz[k + 1]]), float(vals[nz[k]])) for k in switches
-    ]
-    return signs, brackets, float(xs[nz[-1]])
-
-
-def _scan_tail_fn(fn, x_start: float, bound: float, settled: Sign):
-    """Compressed signs and zeros of a rescaled tail function on
-    [x_start, bound], closed with the settled sign at infinity.
-
-    ``fn`` returns (values, local magnitude scale); the zero threshold is
-    local, as in the window scan.
-    """
-    if not math.isfinite(bound):
-        raise NumericalInconsistencyError(
-            f"tail scan past x = {x_start:g} has no finite bound where the slowest "
-            "term settles the sign"
-        )
-    signs, zeros = [], []
-    if bound > x_start:
-        xs = np.geomspace(x_start, bound, _TAIL_SAMPLES)
-        signs, brackets, _ = _strong_signs(xs, *fn(xs))
-        scalar_fn = lambda x: float(fn(np.array([x]))[0][0])
-        zeros = [_log_bisect(scalar_fn, lo, hi, flo, REFINE_TOL) for lo, hi, flo in brackets]
-    if settled is not Sign.ZERO and (not signs or signs[-1] is not settled):
-        signs.append(settled)
-    return signs, zeros
-
-
-def _tail_signs(p: DPolynomial, x_start: float) -> tuple[list[Sign], list[float]]:
-    """Sign pattern and zeros of the polynomial on (x_start, infinity).
-
-    The raw values decay below any relative threshold, so the tail is
-    scanned through a rescaled function with the same signs: the
-    polynomial times exp(+beta x) for the plain kind (beta the slowest
-    decay carrying a nonzero coefficient), and x^2 times the polynomial
-    for the integrated kind.  Beyond an explicit bound the slowest or
-    constant term dominates the rest outright, so the sign is settled
-    and the scan range is finite.  The integrated kind is evaluated in
-    residual form, constant-at-infinity minus decaying corrections, so
-    that the local magnitude scale reflects the actual cancellation
-    level rather than the raw term sizes.
-    """
-    active = [
-        (a, al) for a, al in zip(p.coefficients, p.basis.decays) if a != 0.0
-    ]
-    if not active:
-        return [], []
-    margin = 2.0 * len(active)
-
-    if p.basis.kind == F_KIND:
-        c0, beta = active[-1]
-        rest = [(a, al - beta) for a, al in active[:-1]]
-        if not rest:
-            return [Sign.of(c0)], []
-        bound = max(
-            x_start,
-            max(math.log(max(margin * abs(a) / abs(c0), 1.0)) / rho for a, rho in rest),
-        )
-
-        def tail_fn(xs):
-            total = np.full_like(xs, c0, dtype=float)
-            mag = np.full_like(xs, abs(c0), dtype=float)
-            for a, rho in rest:
-                term = a * np.exp(-rho * xs)
-                total += term
-                mag += np.abs(term)
-            return total, mag
-
-        return _scan_tail_fn(tail_fn, x_start, bound, Sign.of(c0))
-
-    # Integrated kind: scan q(x) = x^2 * p(x) = a0 x^2/2 + s_inf - corrections.
-    const = [a for a, al in active if al == 0.0]
-    decaying = [(a, al) for a, al in active if al > 0.0]
-    weights = [(a / (al * al), al) for a, al in decaying]
-    s_inf = math.fsum(w for w, _ in weights)
-    a0 = const[0] if const else 0.0
-    if a0 != 0.0:
-        s_rest = sum(abs(w) for w, _ in weights)
-        bound = max(x_start, math.sqrt(2.0 * margin * (s_rest + abs(s_inf)) / abs(a0)))
-        settled = Sign.of(a0)
-    else:
-        if s_inf == 0.0:
-            return [], []
-        bound = max(
-            x_start,
-            max(
-                (2.0 / al) * math.log(max(margin * abs(w) / abs(s_inf), 1.0))
-                for w, al in weights
-            ),
-        )
-        settled = Sign.of(s_inf)
-
-    def tail_fn(xs):
-        growth = 0.5 * a0 * xs * xs
-        total = growth + s_inf
-        mag = np.abs(growth) + abs(s_inf)
-        for w, al in weights:
-            u = al * xs
-            with np.errstate(under="ignore"):
-                term = w * (1.0 + u) * np.exp(-u)
-            total = total - term
-            mag = mag + np.abs(term)
-        return total, mag
-
-    return _scan_tail_fn(tail_fn, x_start, bound, settled)
-
-
-def _scan_window(
-    p: DPolynomial, probes: Sequence[float]
-) -> tuple[list[Sign], list[float], float | None]:
-    """One window pass: compressed strong sample signs, refined zeros,
-    and the abscissa of the last nonzero sample.  The probes join the
-    evenly spaced samples, and each must have a strong sign."""
-    xs = np.linspace(0.0, p.basis.window_end, WINDOW_SAMPLES)
-    if len(probes):
-        probes = np.sort(probes)
-        at = np.searchsorted(xs, probes)
-        xs = np.insert(xs, at, probes)
-    phi = basis_values(p.basis, xs)
-    coeffs = np.asarray(p.coefficients)
-    # Zero threshold relative to the local sum of term magnitudes (the
-    # basis functions are non-negative): exponential sums carry genuine
-    # sign structure many orders below their global maximum, so a global
-    # scale would erase it, while the local scale tracks the actual
-    # cancellation noise floor of the evaluation.  The x = 0 sample
-    # equals the initial-sign quantity (the coefficient sum, halved for
-    # the G kind), so the threshold applies there too: a boundary zero
-    # must not contribute a noise-level leading sign.
-    vals, mag = coeffs @ phi, np.abs(coeffs) @ phi
-    if len(probes):
-        at += np.arange(at.size)
-        weak = at[np.abs(vals[at]) <= ZERO_EPS * mag[at]]
-        if weak.size:
+    def __init__(self, p: DPolynomial):
+        terms = sorted((d, a) for a, d in zip(p.coefficients, p.basis.decays) if a != 0.0)
+        self.kind, self.d, self.a = p.basis.kind, [d for d, _ in terms], [a for _, a in terms]
+        levels, x_end = _levels(np.array(self.d), np.array(self.a))
+        self.levels, self.x_end = [(e.tolist(), c.tolist()) for e, c in levels], float(x_end)
+        if not math.isfinite(self.x_end):
             raise NumericalInconsistencyError(
-                f"probe x = {float(xs[weak[0]])!r} has no strong sign"
+                "Rolle descent has no finite bound where the slowest term settles the sign"
             )
-    signs, brackets, last_x = _strong_signs(xs, vals, mag)
-    zeros = [_bisect_zero(p, lo, hi, flo, REFINE_TOL) for lo, hi, flo in brackets]
-    return signs, zeros, last_x
+        self.boundary = boundary_zero(self.a)
+        self._exact, self._center, self._models = None, (None, []), {}
+        if self.kind == G_KIND:
+            # M = tails[j] - sum_{m>=j} w_m (1 + u_m) exp(-u_m) + x^2 sum_{m<j} a_m g(u_m),
+            # w = a / d^2, u = d x < _RESIDUAL_FROM for m < j, tails[j] = sum_{m>=j} w_m
+            # at 50 digits: the residual form keeps far-out values exact.
+            self.w = [a / (d * d) if d else 0.0 for d, a in terms]
+            if self.d[0] == 0.0:  # the constant term's a x^2 / 2 dominates M at infinity
+                self.end = _sign(self.a[0])
+            else:  # the sign of sum w, at 50 digits where two roundings per w may flip it
+                total, size = math.fsum(self.w), math.fsum(map(abs, self.w))
+                noise = abs(total) <= 4.0 * _UNIT_ROUNDOFF * size
+                self.end = _sign(self.tails[0] if noise else total)
+
+    @functools.cached_property
+    def tails(self) -> list[float]:
+        """sum_{m>=j} a_m / d_m^2 for each j, summed at 50 digits."""
+        with mp.workdps(_MINOR_DPS):
+            tail, tails = mp.mpf(0), [0.0]
+            for d, a in zip(reversed(self.d), reversed(self.a)):
+                tail += mp.mpf(a) / mp.mpf(d) ** 2 if d else 0
+                tails.insert(0, float(tail))
+        return tails
+
+    def _float(self, i: int | None, x: float) -> tuple[float, float, float, float]:
+        """Value, slope, curvature and rounding bound of level i, or of M
+        for i None, at x in float64.  A level's c_ij carries 2i roundings,
+        exp(-e x) about 2 e x relative and the sum k - i more; M's terms
+        at most about 13 + u, or 4 / u more in g's closed form.  Each bound
+        is twice that first order."""
+        k = len(self.d)
+        value = slope = curve = mag = 0.0
+        if i is not None:
+            for e, c in zip(*self.levels[i]):
+                t = c * math.exp(-e * x)
+                value += t
+                slope -= e * t
+                curve += e * e * t
+                mag += abs(t) * (1.0 + e * x)
+            return value, slope, curve, 2.0 * (k + i + 2) * _UNIT_ROUNDOFF * mag
+        j = next((j for j, d in enumerate(self.d) if d * x >= _RESIDUAL_FROM), k)
+        value = self.tails[j] if j < k else 0.0
+        mag = abs(value)
+        for m, (d, a) in enumerate(zip(self.d, self.a)):
+            u, decay = d * x, math.exp(-d * x)
+            if m < j:  # the closed form's error is about 3.4e-16 / u relative
+                t = a * x * x * _g_scalar(u)
+                mag += abs(t) * (1.0 + 4.0 / u if u >= _G_SERIES_CUTOFF else 1.0)
+            else:
+                t = -self.w[m] * (1.0 + u) * decay
+                mag += abs(t) * (1.0 + u)
+            value += t
+            slope += a * decay  # l and l'
+            curve -= d * a * decay
+        return value, x * slope, slope + x * curve, 2.0 * (k + 14) * _UNIT_ROUNDOFF * mag
+
+    def _expand(self, i: int | None, x0: float):
+        """Level i, or M for i None, as a Taylor polynomial about x0 whose
+        coefficients come from its terms at 50 digits, summed exactly, and
+        its evaluator: value, slope, curvature and a bound on rounding and
+        remainder, over |x - x0| <= 1 / (largest rate) (None outside)."""
+        order = len(self.d if i is None else self.levels[i][1]) + 4
+        with mp.workdps(_MINOR_DPS):
+            if self._exact is None:  # each level's exact coefficients and rates
+                d, c = [mp.mpf(v) for v in self.d], [mp.mpf(v) for v in self.a]
+                self._exact = {None: (c, d)}
+                for i_ in range(len(self.levels)):
+                    self._exact[i_] = (c, [dj - d[i_] for dj in d[i_:]])
+                    c = [cj * (dj - d[i_]) for cj, dj in zip(c[1:], d[i_ + 1:])]
+            c, r = self._exact[i]
+            xm = mp.mpf(x0)
+            if self._center[0] != x0:  # exp(-d_j x0), shared by every level's model
+                self._center = (x0, [mp.exp(-dj * xm) for dj in self._exact[None][1]])
+            scaled = self._center[1][0 if i is None else i:]  # level i is exp(d_i x) times ...
+            t = [cj * ej for cj, ej in zip(c, scaled)]
+            t = t if i is None else [tj / scaled[0] for tj in t]
+            if i is None:
+                m0 = float(mp.fsum((cj - (1 + rj * xm) * tj) / rj**2 if rj * xm > 1e-8 else
+                                   cj * xm * xm * _mp_basis_value(G_KIND, rj * xm)
+                                   for cj, rj, tj in zip(c, r, t)))
+        # d^n/dx^n of sum_j c_j exp(-r_j x) at x0 is sum_j t_j (-r_j)^n, summed
+        # in integers: t_j to 2^-200 of the largest, r_j exactly.
+        (tm, te), (rm, re), lam = _fixed(t, 200), _fixed(r), []
+        for n in range(order + 1):
+            lam.append(_scaled(sum(tm), te + n * re))
+            tm = [-a * b for a, b in zip(rm, tm)]
+        terms = [(v, abs(v)) for v in lam[:order]]
+        if i is None:  # M' = x l: M^(n) = x l^(n-1) + (n-1) l^(n-2), rounded twice
+            terms = [(m0, abs(m0))] + [(x0 * lam[n - 1] + (n - 1) * lam[n - 2],
+                                        abs(x0 * lam[n - 1]) + (n - 1) * abs(lam[n - 2]))
+                                       for n in range(1, order)]
+        tau = [(v / math.factorial(n), s / math.factorial(n)) for n, (v, s) in enumerate(terms)]
+        # The derivative of that order over the model's range: at most e
+        # times its terms' magnitudes at x0, (a + b |x - x0|) order!.
+        size, rate = [(abs(float(tj)), float(rj)) for tj, rj in zip(t, r)], float(max(r))
+        mags = [sum(s * r**n for s, r in size) / math.factorial(order) for n in range(order - 2, order + 1)]
+        rem = (x0 * mags[1] + (order - 1) * mags[0], mags[1]) if i is None else (mags[2], 0.0)
+
+        def model(x):
+            h = x - x0
+            if (dist := abs(h)) * rate > 1.0:
+                return None
+            value = slope = half = scale = 0.0
+            for t, size in reversed(tau):
+                value, slope, half = value * h + t, slope * h + value, half * h + slope
+                scale = scale * dist + size
+            remainder = math.e * (rem[0] + rem[1] * dist) * dist**order
+            return value, slope, 2.0 * half, 4.0 * (order + 1) * _UNIT_ROUNDOFF * scale + remainder
+
+        return model
+
+    def _models_at(self, i: int | None, x: float):
+        """Level i's Taylor model, then new ones about the last center, if
+        near (the other levels' models share its exponentials), and about x."""
+        x0, model = self._models.get(i, (None, None))
+        if model:
+            yield model
+        near = (c for c in (self._center[0], x) if c not in (None, x0) and abs(c - x) * self.d[-1] <= 1)
+        for center in dict.fromkeys(near):
+            self._models[i] = (center, self._expand(i, center))
+            yield self._models[i][1]
+
+    def _point(self, i: int | None, x: float, tol: float = 0.0) -> tuple[float, float, float]:
+        """Value, slope and curvature of level i, or of M for i None, at x:
+        in float64 outside its rounding bound, else from the first 50-digit
+        Taylor model of ``_models_at`` that signs it (the one about x always
+        does).  A value inside its bound is 0.0 instead when the slope puts
+        the zero within tol * x."""
+        got, models = self._float(i, x), None
+        while not got or abs(got[0]) <= got[3]:
+            if got and got[3] <= tol * x * abs(got[1]):
+                return 0.0, got[1], got[2]
+            models = models or self._models_at(i, x)
+            if (model := next(models, None)) is None:
+                break
+            got = model(x)
+        return got[:3]
+
+    def _root(self, i: int | None, lo: float, hi: float, s_lo: int, x: float) -> float:
+        """The zero of level i (M for i None) in (lo, hi), where it is
+        monotone with sign s_lo next to lo: Newton from x, and a geometric
+        bisection step whenever an iterate leaves the bracket, to
+        ``REFINE_TOL`` relative."""
+        for _ in range(_MAX_NEWTON_STEPS):
+            if not lo < x < hi:
+                x = math.sqrt(max(lo, 1e-6 * hi) * hi)
+            value, slope, _ = self._point(i, x, REFINE_TOL)
+            if value == 0.0:
+                return x
+            lo, hi = (x, hi) if _sign(value) == s_lo else (lo, x)
+            if hi - lo <= REFINE_TOL * hi:
+                return 0.5 * (lo + hi)
+            step = value / slope if slope else x
+            x -= step
+            if abs(step) <= REFINE_TOL * abs(x) and lo <= x <= hi:
+                return x
+        raise NumericalInconsistencyError(f"zero in ({lo!r}, {hi!r}) not converged")
+
+    def _zeros(self, i: int | None, kept: list[tuple[float, tuple]]) -> list[float]:
+        """One zero in each bracket of kept (x, (value, slope, curvature))
+        whose end signs differ.  The bottom level starts from its closed
+        form, the rest from the quadratic model at the bracket end with
+        the smaller value: an extremum of the function, for every end but
+        0 and X, so the zero is often close by."""
+        zeros = []
+        for (lo, p), (hi, q) in zip(kept, kept[1:]):
+            if _sign(p[0]) == _sign(q[0]):
+                continue
+            starts = [x + h for x, (v, s, c) in sorted(((lo, p), (hi, q)), key=lambda e: abs(e[1][0]))
+                      for h in _quadratic_roots(v, s, c) if lo < x + h < hi]
+            if i is not None and len(self.levels[i][1]) == 2:
+                (_, e), (c0, c1) = self.levels[i]
+                starts = [math.log(-c1 / c0) / e]
+            zeros.append(self._root(i, lo, hi, _sign(p[0]), (starts or [lo])[0]))
+        return zeros
+
+    def signs_and_zeros(self) -> tuple[list[int], list[float]]:
+        """The polynomial's signs at its Rolle points, and its zeros.  Each
+        kept point carries (value, slope, curvature); where only the sign is
+        known (X, and x = 0 for M) the value is that sign."""
+        zeros: list[float] = []
+        for i in range(len(self.levels) - 1, -1, -1):
+            start = [] if i == 0 and self.boundary else [0.0]
+            kept = [(x, pt) for x in start + [min(z, self.x_end) for z in zeros]
+                    if (pt := self._point(i, x))[0]]
+            kept.append((self.x_end, (_sign(self.levels[i][1][0]), 0.0, 0.0)))
+            zeros = self._zeros(i, kept)
+        if self.kind == G_KIND:
+            kept = [] if self.boundary else [(0.0, (_sign(math.fsum(self.a)), 0.0, 0.0))]
+            kept += [(z, pt) for z in zeros if (pt := self._point(None, z))[0]]
+            if self.end:  # M is monotone past l's last zero: double out to its end sign
+                hi, pt = math.inf, (self.end, 0.0, 0.0)
+                if kept and _sign(kept[-1][1][0]) != self.end:
+                    hi = 2.0 * kept[-1][0] or 1.0
+                    while _sign((pt := self._point(None, hi))[0]) != self.end:
+                        if (hi := 2.0 * hi) == math.inf:
+                            raise NumericalInconsistencyError("M does not settle to its end sign")
+                kept.append((hi, pt))
+            zeros = self._zeros(None, kept)
+        return [_sign(pt[0]) for _, pt in kept], zeros
+
+    def weighted(self, x: float, decays: Sequence[float]) -> tuple[float, float]:
+        """p(x) and sum_j phi(d_j x) over ``decays``, times one positive
+        factor: x^2 for G at x > 0, else exp(d x) with d the slowest of
+        ``decays``, so that neither underflows far out."""
+        if self.kind == G_KIND and x > 0.0:
+            return self._point(None, x)[0], x * x * sum(_g_scalar(d * x) for d in decays)
+        slowest = min(decays)
+        value = self._point(0, x)[0] * math.exp((slowest - self.d[0]) * x)
+        return value, sum(math.exp((slowest - d) * x) for d in decays)
 
 
-def sseq_of_dpoly(
-    p: DPolynomial, probes: Sequence[float] = ()
-) -> tuple[SignSeq, list[float]]:
+def sseq_of_dpoly(p: DPolynomial) -> tuple[SignSeq, list[float]]:
     """Reduced sign sequence of a D-polynomial on [0, inf), with zeros.
 
-    One pass samples [0, ``p.basis.window_end``] at ``WINDOW_SAMPLES``
-    evenly spaced points plus ``probes``, and bisects each bracketed
-    strong sign change.  A second pass scans a rescaled form of the rest
-    out to the bound where the slowest term provably dominates, so the
-    analytic terminal sign closes the sequence.  By variation
-    diminishing the polynomial has at most len(basis) - 1 sign changes,
-    each at a zero.  So a caller that knows one point strictly inside
-    each sign stretch passes those as probes, and they bracket every
-    zero however close.  More changes than that bound, a change without
-    a located zero, or a probe without a strong sign raises
-    NumericalInconsistencyError; there is no retry.
+    Rolle's descent (``_Descent``): no grid, no window and no hints.  By
+    variation diminishing the polynomial has at most len(basis) - 1 sign
+    changes, each at a zero; more changes than that, or a change without
+    a located zero, raises NumericalInconsistencyError.
     """
     if p.is_zero:
         return EMPTY_PURE, []
-
-    compressed, zeros, last_x = _scan_window(p, probes)
-    # Hand the tail scan over at the last super-threshold sample: the
-    # raw values may sink below the window threshold before the window
-    # end, and the rescaled tail form sees through that shadow.
-    x_start = last_x if last_x else p.basis.window_end / (WINDOW_SAMPLES - 1)
-    tail_signs, tail_zeros = _tail_signs(p, x_start)
-    term = terminal_sign(p)
-    signs = compressed + tail_signs
-    if term is not Sign.ZERO and (not signs or signs[-1] is not term):
-        signs.append(term)
-    sseq = reduce_sseq(SignSeq(tuple(signs) or (term,)))
-    zeros = sorted(zeros + tail_zeros)
+    signs, zeros = _Descent(p).signs_and_zeros()
+    sseq = reduce_sseq(SignSeq(tuple(Sign(s) for s in signs)))
     changes = max(0, len(sseq) - 1)
     if changes > len(p.basis) - 1 or changes != len(zeros):
         raise NumericalInconsistencyError(
-            f"sign scan of {len(p.basis)}-term polynomial is inconsistent: "
-            f"{changes} changes vs {len(zeros)} located zeros "
-            f"(window {p.basis.window_end:g}, {WINDOW_SAMPLES} samples)"
+            f"Rolle descent of {len(p.basis)}-term polynomial is inconsistent: "
+            f"{changes} changes vs {len(zeros)} located zeros"
         )
     return sseq, zeros
 
@@ -675,36 +711,22 @@ def perturbation_delta(p: DPolynomial) -> float:
     return _stability_radius(p, zeros)
 
 
-def _stretch_probes(zeros: Sequence[float], tail_decay: float) -> list[float]:
-    """One probe per sign stretch: x = 0 (unless 0 is a zero), the midpoints
-    between sorted zeros, and a point past the last by max(last gap,
-    1 / tail_decay)."""
-    probes = [] if zeros and zeros[0] == 0.0 else [0.0]
-    probes.extend(0.5 * (z1 + z2) for z1, z2 in zip(zeros, zeros[1:]))
-    if zeros:
-        gap = zeros[-1] - zeros[-2] if len(zeros) > 1 else zeros[-1]
-        probes.append(zeros[-1] + max(gap, 1.0 / tail_decay))
-    return probes
-
-
 def _stability_radius(p: DPolynomial, zeros: Sequence[float]) -> float:
     """``perturbation_delta`` from zeros already located by ``sseq_of_dpoly``.
 
-    Each probe's ratio is unchanged by a common factor, so the F kind
-    takes its terms times exp(beta r), beta the slowest decay: the
-    slowest term is then 1 and a probe far past the last zero does not
-    underflow to a spurious zero.
+    Each probe's ratio is unchanged by a common factor, so it is read
+    from ``_Descent.weighted``, with p's value signed at 50 digits where
+    float64 cannot sign it.
     """
-    probes = _stretch_probes(zeros, p.basis.min_positive_decay)
-    decays = p.basis.decays
-    if p.basis.kind == F_KIND:
-        phi = [[math.exp(-(alpha - decays[-1]) * r) for alpha in decays] for r in probes]
-    else:
-        phi = [[eval_basis_fn(G_KIND, alpha, r) for alpha in decays] for r in probes]
-    radius = math.inf
-    for row in phi:
-        value = sum(a * f for a, f in zip(p.coefficients, row) if a != 0.0)
+    probes = [] if zeros and zeros[0] == 0.0 else [0.0]  # one per sign stretch
+    probes += [0.5 * (z1 + z2) for z1, z2 in zip(zeros, zeros[1:])]
+    if zeros:  # past the last zero by max(last gap, 1 / slowest decay)
+        gap = zeros[-1] - (zeros[-2] if len(zeros) > 1 else 0.0)
+        probes.append(zeros[-1] + max(gap, 1.0 / p.basis.min_positive_decay))
+    descent, radius = _Descent(p), math.inf
+    for r in probes:
+        value, weight = descent.weighted(r, p.basis.decays)
         if value == 0.0:
             raise ValueError("probe point landed on a zero; polynomial not extremal?")
-        radius = min(radius, abs(value) / sum(row))
+        radius = min(radius, abs(value) / weight)
     return radius

@@ -15,11 +15,12 @@ kernels are Descartes systems, so Laguerre's rule bounds the zero count
 by the sign changes of the coefficients and of their partial sums, and
 the signs at 0 and at infinity fix its parity.  Rolle's theorem counts
 the rest in float64, with no grid, whether the decays vary by row
-(sweeps) or one decay row is shared (fixed models).  A row it cannot
-sign takes its sequence from the careful scan of its own float64
-polynomial, so ``descartes.ZERO_EPS`` is the one rule for what counts
-as zero.  Any apparent violation is re-checked with the careful scalar
-classifier before it is reported.
+(sweeps) or one decay row is shared (fixed models).  A row with a value
+within ``descartes.ZERO_EPS`` of its term magnitude sum takes its
+sequence from ``sseq_of_dpoly``, the same descent on its own float64
+polynomial with each doubtful value signed at 50 digits.  Any apparent
+violation is re-checked with the careful scalar classifier before it is
+reported.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from .descartes import (
     ExpBasis,
     F_KIND,
     G_KIND,
-    WINDOW_EFOLDINGS,
     ZERO_EPS,
+    _levels,
     _stability_radius,
     g_kernel_value,
     interpolate_prescribed_zeros,
@@ -58,10 +59,11 @@ RhoClassOption = Literal["nonnegative", "negative", "any"]
 #: Rolle stage: rows per block, a zero's relative accuracy, its step limit.
 _BLOCK, _RTOL, _MAX_STEPS = 2048, 1e-8, 100
 _KIND = {"forward": F_KIND, "yield": G_KIND}  # each curve's kernel
-#: Bound on a row's coefficient magnitude sum and on (WINDOW_EFOLDINGS *
-#: largest decay / slowest decay)^2: the batch scan's documented input
-#: range (README, exit code 2).
-_FLOAT32_SAFE = 0.5 * float(np.finfo(np.float32).max)
+#: The batch scan's documented input range (README, exit code 2): a row's
+#: coefficient magnitude sum stays below _BATCH_RANGE, and its largest
+#: decay below _DECAY_SPREAD times its slowest, sqrt(_BATCH_RANGE) / 20.
+_BATCH_RANGE = 0.5 * float(np.finfo(np.float32).max)
+_DECAY_SPREAD = np.sqrt(_BATCH_RANGE) / 20.0
 
 
 #: Sampling ranges of a theorem sweep (lambda_1, kappa, sigma from 0, theta
@@ -274,15 +276,15 @@ def _scan_curves(
     l, as M = x^2 m has M(0) = 0 and M' = x l (Rolle).  A count has the
     parity of [first != terminal sign], so ``_certify`` decides the rows
     whose B = min(V, P) is below that parity plus 2.  The rest go to
-    ``_rolle_scan``, and the rows it defers to ``_careful_first_changes``.
-    A row whose magnitude sum, or (``WINDOW_EFOLDINGS`` * largest / slowest
-    decay)^2, is not below ``_FLOAT32_SAFE`` raises ValueError, certified
-    or not.
+    ``_rolle_scan``, and the rows it defers to ``_careful_first_changes``,
+    the Rolle descent of ``sseq_of_dpoly``.  A row outside the input range
+    (``_BATCH_RANGE``, ``_DECAY_SPREAD``) raises ValueError, certified or
+    not.
     """
-    if not np.all(decays * (WINDOW_EFOLDINGS / decays[..., :1]) < np.sqrt(_FLOAT32_SAFE)):
+    if not np.all(decays < _DECAY_SPREAD * decays[..., :1]):
         raise ValueError("decay rates spread too widely for the batch scan")
     abs_sum = np.sum(np.abs(coeffs), axis=1)
-    if not np.all(abs_sum < _FLOAT32_SAFE):
+    if not np.all(abs_sum < _BATCH_RANGE):
         raise ValueError("curve coefficients exceed the range of the batch scan")
     term = {c: _terminal_signs(decays, coeffs, _KIND[c]) for c in curves}
     first, _, decided = _certify(decays, coeffs, term, abs_sum)
@@ -355,13 +357,8 @@ def _rolle_scan(decays: np.ndarray, coeffs: np.ndarray, term: dict) -> tuple:
     deferred = {c: np.zeros(n, dtype=bool) for c in term}
     for sl in (slice(start, start + _BLOCK) for start in range(0, n, _BLOCK)):
         d, a = decays[sl][:, keep], coeffs[sl][:, keep]
-        levels = [(d - d[:, :1], a)]
-        for i in range(1, k - 1):
-            levels.append((d[:, i:] - d[:, i : i + 1], levels[-1][1][:, 1:] * levels[-1][0][:, 1:]))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ends = [np.log(np.maximum(2 * k * np.abs(c[:, 1:] / c[:, :1]), 1.0)) / e[:, 1:]
-                    for e, c in levels]
-        x_end = np.fmax.reduce(np.concatenate(ends, axis=1), axis=1, initial=0.0)[:, None]
+        levels, x_end = _levels(d, a)
+        x_end = x_end[:, None]
         bad = ~np.isfinite(x_end[:, 0])
         x_end[bad], zeros = 1.0, np.empty((a.shape[0], 0))
         for i in range(max(k - 2, 0), -1, -1):  # g_0(0) = sum a: l's first sign and its floor

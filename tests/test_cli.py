@@ -159,14 +159,16 @@ class TestAttainCommand:
         monkeypatch.setattr(cli.attain, "construct_target", boom)
         assert cli.main(["attain", "--model", separated_file, "--shape", "HD"]) == 3
 
-    def test_unverifiable_extrema_exit_3(self, separated_file, capsys):
-        # Extrema 1e-7 apart are too close to verify: the stretch point
-        # between them has no strong sign in float64.
-        argv = ["attain", "--model", separated_file, "--shape", "HD",
+    @pytest.mark.parametrize("curve", ["forward", "yield"])
+    def test_extrema_1e7_apart_verify(self, separated_file, capsys, curve):
+        # The Rolle descent signs the polynomial between the two zeros at 50
+        # digits where float64 cannot; tests/oracle.py confirms both zeros.
+        argv = ["attain", "--model", separated_file, "--shape", "HD", "--curve", curve,
                 "--extrema", "1,1.0000001"]
-        assert cli.main(argv) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert cli.main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verification"]["passed"]
+        assert max(doc["verification"]["extrema_rel_errors"]) < 1e-8
 
 
 class TestSweepCommand:
@@ -350,6 +352,6 @@ class TestOutOfRangeArguments:
         ],
     )
     def test_classify_takes_no_grid_flags(self, separated_file, capsys, flags):
-        # The sign scan's window is fixed; curves --x-max is a plotting range.
+        # The sign engine has no grid; curves --x-max is a plotting range.
         assert cli.main(["classify", "--model", separated_file, *flags]) == 2
         assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from lemmas import coef_ratio_limit, det_system, sseq_of_samples, vandermonde, wronskian_g_at_zero
+from lemmas import (coef_ratio_limit, det_system, initial_sign, sseq_of_samples, terminal_sign,
+                    vandermonde, wronskian_g_at_zero)
 from termshapes import descartes as dc
 from termshapes import signseq as ss
 from termshapes.descartes import (
@@ -16,13 +17,11 @@ from termshapes.descartes import (
     coef_inequality_value,
     eval_basis_fn,
     eval_dpoly,
-    initial_sign,
     interpolate_prescribed_zeros,
     perturb_coefficients,
     perturbation_delta,
     perturbation_directions,
     sseq_of_dpoly,
-    terminal_sign,
 )
 from termshapes.signseq import Sign, SignSeq
 
@@ -164,39 +163,6 @@ class TestDPolyEval:
         assert eval_dpoly(p, 0.0) == pytest.approx(0.0, abs=1e-15)
         assert eval_dpoly(p, 0.5) != 0.0
 
-    def test_scan_bracket_ends_agree_with_scalar_sign(self, monkeypatch):
-        # The window scan brackets each zero with numpy values, and the
-        # bisection then evaluates in math; the two may differ in the
-        # last bits, but a bracket end is a strong sample, so the scalar
-        # value there must carry the scanned sign.
-        brackets = []
-        bisect = dc._bisect_zero
-
-        def record(p, lo, hi, flo, tol):
-            brackets.append((p, lo, hi, flo))
-            return bisect(p, lo, hi, flo, tol)
-
-        monkeypatch.setattr(dc, "_bisect_zero", record)
-        rng = np.random.default_rng(43)
-        for kind in ("F", "G"):
-            for _ in range(20):
-                decays = tuple(np.sort(rng.uniform(0.05, 4.0, 4))[::-1])
-                basis = ExpBasis(kind, decays)
-                sseq_of_dpoly(DPolynomial(basis, rng.standard_normal(4)))
-                for zeros in (np.sort(rng.uniform(0.05, 5.0, 3)),
-                              0.5 + 10.0 ** -rng.integers(1, 5) * np.arange(3)):
-                    sseq_of_dpoly(interpolate_prescribed_zeros(basis, zeros))
-                # a zero at the faster term's series cutoff; the window's
-                # first sample past 0 has u >= 20 / 4095 > 4e-3 for that
-                # term, so the bracket ends lie on both sides of the cutoff
-                pair = ExpBasis(kind, decays[::3])
-                p = interpolate_prescribed_zeros(pair, [dc._G_SERIES_CUTOFF / pair.decays[0]])
-                sseq_of_dpoly(p)
-        assert len(brackets) > 200
-        for p, lo, hi, flo in brackets:
-            assert np.sign(eval_dpoly(p, lo)) == np.sign(flo)
-            assert np.sign(eval_dpoly(p, hi)) == -np.sign(flo)
-
 
 class TestEndpointSigns:
     def test_initial_is_coefficient_sum(self):
@@ -251,28 +217,12 @@ class TestEndpointSigns:
 
 
 class TestSseqOfDpoly:
-    def test_window_tracks_slowest_decay(self):
-        assert ExpBasis("F", (4.0, 0.25)).window_end == pytest.approx(80.0)
-
-    @pytest.mark.parametrize(
-        "basis,end",
-        [(ExpBasis("G", (2.0, 0.5, 0.0)), 40.0), (ExpBasis("F", (0.0,)), 20.0)],
-    )
-    def test_window_ignores_zero_decay(self, basis, end):
-        # A zero decay never decays; the window spans the slowest positive
-        # one, or 20 units when there is none.
-        assert basis.window_end == pytest.approx(end)
-
-    def test_probes_bracket_zeros_closer_than_the_window_spacing(self):
-        # The window's spacing is 20 / 4095 here, and the pair is 1e-5
-        # apart: one probe inside each sign stretch resolves it.
+    def test_pair_1e5_apart_resolved_without_probes(self):
+        # The zeros of level 1 bracket the pair however close it lies.
         p = interpolate_prescribed_zeros(ExpBasis("F", (3.0, 2.0, 1.0)), [1.0, 1.00001])
-        assert sseq_of_dpoly(p) == (SignSeq.parse("+"), [])
-        seq, zeros = sseq_of_dpoly(p, [1.5, 0.5, 1.000005])
+        seq, zeros = sseq_of_dpoly(p)
         assert seq == SignSeq.parse("+-+")
         assert zeros == pytest.approx([1.0, 1.00001], abs=1e-9)
-        with pytest.raises(dc.NumericalInconsistencyError, match="probe x = 1.0 has no"):
-            sseq_of_dpoly(p, [0.5, 1.0, 1.5])
 
     def test_single_positive_term(self):
         p = DPolynomial(ExpBasis("F", (1.0,)), (1.0,))
@@ -313,21 +263,17 @@ class TestSseqOfDpoly:
         assert seq.is_empty
         assert zeros == []
 
-    def test_inconsistent_scan_raises_after_one_pass(self, monkeypatch):
-        # A tail that settles opposite the window's last sign, with no zero
-        # between them, is reported after one window pass: no rescan on a
-        # finer grid and no zero patched in at the junction.
+    @pytest.mark.parametrize(
+        "signs,zeros,match",
+        [([1, -1], [], "1 changes vs 0 located zeros"), ([1, -1, 1, -1], [1.0, 2.0, 3.0], "3 changes")],
+    )
+    def test_inconsistent_descent_raises(self, monkeypatch, signs, zeros, match):
+        # A change without a located zero, or more changes than the basis
+        # allows (here 2 for three terms), is reported, not patched.
         p = interpolate_prescribed_zeros(ExpBasis("F", (3.0, 2.0, 1.0)), [0.5, 2.0])
-        assert sseq_of_dpoly(p)[0] == SignSeq.parse("+-+")
-        passes = []
-        basis_values = dc.basis_values
-        monkeypatch.setattr(
-            dc, "basis_values", lambda basis, x: passes.append(x) or basis_values(basis, x)
-        )
-        monkeypatch.setattr(dc, "_tail_signs", lambda *args: ([Sign.MINUS], []))
-        with pytest.raises(dc.NumericalInconsistencyError, match="2 located zeros"):
+        monkeypatch.setattr(dc._Descent, "signs_and_zeros", lambda self: (signs, zeros))
+        with pytest.raises(dc.NumericalInconsistencyError, match=match):
             sseq_of_dpoly(p)
-        assert len(passes) == 1
 
     def test_slow_decays_refine_to_adjacent_floats(self):
         # Floats near the zero at x ~ 4.6e11 lie further apart than
