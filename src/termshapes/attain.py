@@ -52,6 +52,7 @@ from .descartes import (
     ExpBasis,
     F_KIND,
     G_KIND,
+    _Descent,
     _floats,
     _stability_radius,
     boundary_zero,
@@ -336,7 +337,7 @@ def _slowest_slot_epsilon(padded: DPolynomial, zeros: tuple[float, ...]) -> floa
     zero, the zeros are too collapsed to realise the shape stably.
     """
     try:
-        radius = _stability_radius(padded, zeros)
+        radius = _stability_radius(_Descent(padded), zeros)
     except ValueError:  # a probe landed on an exact zero
         radius = 0.0
     eps = min(1e-9 * max(abs(a) for a in padded.coefficients), 0.5 * radius)

@@ -208,26 +208,15 @@ def basis_values(basis: ExpBasis, x) -> np.ndarray:
 
 
 def eval_dpoly(p: DPolynomial, x):
-    """Value of the D-polynomial at x: a scalar x in ``math``
-    (``_scalar_dpoly``), an array x in numpy (``basis_values``)."""
+    """Value of the D-polynomial at x: a scalar x in ``math`` over the
+    nonzero terms, an array x in numpy (``basis_values``)."""
     if np.ndim(x):
         return np.asarray(p.coefficients) @ basis_values(p.basis, x)
-    return float(_scalar_dpoly(p)(x))
-
-
-def _scalar_dpoly(p: DPolynomial):
-    """p as a function of one float, in ``math`` over its nonzero terms,
-    built once for callers that evaluate p many times."""
-    basis_fn = _SCALAR_BASIS[p.basis.kind]
-    terms = [(a, alpha) for a, alpha in zip(p.coefficients, p.basis.decays) if a != 0.0]
-
-    def value(x: float) -> float:
-        total = 0.0
-        for a, alpha in terms:
+    basis_fn, total = _SCALAR_BASIS[p.basis.kind], 0.0
+    for a, alpha in zip(p.coefficients, p.basis.decays):
+        if a != 0.0:
             total += a * basis_fn(alpha * x)
-        return total
-
-    return value
+    return total
 
 
 def _levels(decays, coeffs):
@@ -301,7 +290,8 @@ class _Descent:
 
     def __init__(self, p: DPolynomial):
         terms = sorted((d, a) for a, d in zip(p.coefficients, p.basis.decays) if a != 0.0)
-        self.kind, self.d, self.a = p.basis.kind, [d for d, _ in terms], [a for _, a in terms]
+        self.basis, self.kind = p.basis, p.basis.kind
+        self.d, self.a = [d for d, _ in terms], [a for _, a in terms]
         levels, x_end = _levels(np.array(self.d), np.array(self.a))
         self.levels, self.x_end = [(e.tolist(), c.tolist()) for e, c in levels], float(x_end)
         if not math.isfinite(self.x_end):
@@ -368,7 +358,9 @@ class _Descent:
         """Level i, or M for i None, as a Taylor polynomial about x0 whose
         coefficients come from its terms at 50 digits, summed exactly, and
         its evaluator: value, slope, curvature and a bound on rounding and
-        remainder, over |x - x0| <= 1 / (largest rate) (None outside)."""
+        remainder, over |x - x0| <= 1 / (largest rate) (None outside).  One
+        model serves every point of a cluster of zeros, which is why points
+        are not re-evaluated at 50 digits one by one (README, Numerical notes)."""
         order = len(self.d if i is None else self.levels[i][1]) + 4
         with mp.workdps(_MINOR_DPS):
             if self._exact is None:  # each level's exact coefficients and rates
@@ -509,10 +501,11 @@ class _Descent:
             zeros = self._zeros(None, kept)
         return [_sign(pt[0]) for _, pt in kept], zeros
 
-    def weighted(self, x: float, decays: Sequence[float]) -> tuple[float, float]:
-        """p(x) and sum_j phi(d_j x) over ``decays``, times one positive
-        factor: x^2 for G at x > 0, else exp(d x) with d the slowest of
-        ``decays``, so that neither underflows far out."""
+    def weighted(self, x: float) -> tuple[float, float]:
+        """p(x) and sum_j phi(d_j x) over every decay of the basis, times
+        one positive factor: x^2 for G at x > 0, else exp(d x) with d the
+        slowest decay, so that neither underflows far out."""
+        decays = self.basis.decays
         if self.kind == G_KIND and x > 0.0:
             return self._point(None, x)[0], x * x * sum(_g_scalar(d * x) for d in decays)
         slowest = min(decays)
@@ -530,7 +523,13 @@ def sseq_of_dpoly(p: DPolynomial) -> tuple[SignSeq, list[float]]:
     """
     if p.is_zero:
         return EMPTY_PURE, []
-    signs, zeros = _Descent(p).signs_and_zeros()
+    return _descend(p)[1:]
+
+
+def _descend(p: DPolynomial) -> tuple[_Descent, SignSeq, list[float]]:
+    """``sseq_of_dpoly`` of a nonzero p, with the descent that read it."""
+    descent = _Descent(p)
+    signs, zeros = descent.signs_and_zeros()
     sseq = reduce_sseq(SignSeq(tuple(Sign(s) for s in signs)))
     changes = max(0, len(sseq) - 1)
     if changes > len(p.basis) - 1 or changes != len(zeros):
@@ -538,7 +537,7 @@ def sseq_of_dpoly(p: DPolynomial) -> tuple[SignSeq, list[float]]:
             f"Rolle descent of {len(p.basis)}-term polynomial is inconsistent: "
             f"{changes} changes vs {len(zeros)} located zeros"
         )
-    return sseq, zeros
+    return descent, sseq, zeros
 
 
 def _mp_basis_value(kind: str, u: mp.mpf) -> mp.mpf:
@@ -707,12 +706,12 @@ def perturbation_delta(p: DPolynomial) -> float:
     """
     if p.is_zero:
         raise ValueError("polynomial must not vanish identically")
-    _, zeros = sseq_of_dpoly(p)
-    return _stability_radius(p, zeros)
+    descent, _, zeros = _descend(p)
+    return _stability_radius(descent, zeros)
 
 
-def _stability_radius(p: DPolynomial, zeros: Sequence[float]) -> float:
-    """``perturbation_delta`` from zeros already located by ``sseq_of_dpoly``.
+def _stability_radius(descent: _Descent, zeros: Sequence[float]) -> float:
+    """``perturbation_delta`` of the descent's polynomial, from its zeros.
 
     Each probe's ratio is unchanged by a common factor, so it is read
     from ``_Descent.weighted``, with p's value signed at 50 digits where
@@ -722,10 +721,10 @@ def _stability_radius(p: DPolynomial, zeros: Sequence[float]) -> float:
     probes += [0.5 * (z1 + z2) for z1, z2 in zip(zeros, zeros[1:])]
     if zeros:  # past the last zero by max(last gap, 1 / slowest decay)
         gap = zeros[-1] - (zeros[-2] if len(zeros) > 1 else 0.0)
-        probes.append(zeros[-1] + max(gap, 1.0 / p.basis.min_positive_decay))
-    descent, radius = _Descent(p), math.inf
+        probes.append(zeros[-1] + max(gap, 1.0 / descent.basis.min_positive_decay))
+    radius = math.inf
     for r in probes:
-        value, weight = descent.weighted(r, p.basis.decays)
+        value, weight = descent.weighted(r)
         if value == 0.0:
             raise ValueError("probe point landed on a zero; polynomial not extremal?")
         radius = min(radius, abs(value) / weight)

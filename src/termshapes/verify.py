@@ -44,6 +44,7 @@ from .descartes import (
     F_KIND,
     G_KIND,
     ZERO_EPS,
+    _descend,
     _levels,
     _stability_radius,
     g_kernel_value,
@@ -624,8 +625,8 @@ def perturbation_stability_check(n_cases: int, seed: int) -> PerturbationReport:
                                 equivalent_at_100x_delta=0)
     for case in range(n_cases):
         poly = _random_extremal(rng)
-        base_sseq, zeros = sseq_of_dpoly(poly)
-        delta = _stability_radius(poly, zeros)
+        descent, base_sseq, zeros = _descend(poly)
+        delta = _stability_radius(descent, zeros)
         outcomes = {}
         for label, eps in (
             ("zero", 0.0),

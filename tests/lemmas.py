@@ -3,19 +3,17 @@
 Collocation determinants and the g-system Wronskian at zero (the
 Descartes property), Vandermonde products and the small-zero limits of
 interpolation coefficient ratios, the forward-curve derivative straight
-from the bond loadings, two sign-sequence helpers (the reduced sequence
-of sampled values and the tail-preserving subsequence relation), and the
-analytic signs of a D-polynomial at x = 0 and at infinity.
+from the bond loadings, and two sign-sequence helpers: the reduced
+sequence of sampled values and the tail-preserving subsequence relation.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
-from termshapes.descartes import F_KIND, DPolynomial, ExpBasis, eval_basis_fn
+from termshapes.descartes import ExpBasis, eval_basis_fn
 from termshapes.signseq import Sign, SignSeq, reduce, subsequence
 from termshapes.vasicek import B, VasicekModel, as_state
 
@@ -140,38 +138,3 @@ def tail_subsequence(a: SignSeq, b: SignSeq) -> bool:
     if rb.is_empty:
         return False
     return ra.signs[-1] is rb.signs[-1] and subsequence(ra, rb)
-
-
-def initial_sign(p: DPolynomial) -> Sign:
-    """Sign of the polynomial at x = 0.
-
-    Equals sign(sum of coefficients) for the F kind and half that for
-    the G kind, so the two kinds always agree.
-    """
-    return Sign.of(math.fsum(p.coefficients))
-
-
-def terminal_sign(p: DPolynomial) -> Sign:
-    """Sign of the polynomial as x -> infinity.
-
-    F kind: the slowest-decaying term with a nonzero coefficient wins.
-    G kind: x^2 g_a(x) -> 1/a^2, so the sign is that of
-    sum a_i / alpha_i^2; a zero-decay term has a divergent weight and
-    dominates outright if present.
-    """
-    if p.is_zero:
-        return Sign.ZERO
-    if p.basis.kind == F_KIND:
-        for a in reversed(p.coefficients):
-            if a != 0.0:
-                return Sign.of(a)
-        return Sign.ZERO
-    for a, alpha in zip(p.coefficients, p.basis.decays):
-        if alpha == 0.0 and a != 0.0:
-            return Sign.of(a)
-    weighted = math.fsum(
-        a / (alpha * alpha)
-        for a, alpha in zip(p.coefficients, p.basis.decays)
-        if alpha > 0.0
-    )
-    return Sign.of(weighted)

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from lemmas import (coef_ratio_limit, det_system, initial_sign, sseq_of_samples, terminal_sign,
-                    vandermonde, wronskian_g_at_zero)
+from lemmas import coef_ratio_limit, det_system, sseq_of_samples, vandermonde, wronskian_g_at_zero
 from termshapes import descartes as dc
 from termshapes import signseq as ss
 from termshapes.descartes import (
@@ -164,12 +163,19 @@ class TestDPolyEval:
         assert eval_dpoly(p, 0.5) != 0.0
 
 
+def _ends(p: DPolynomial) -> tuple[Sign, Sign]:
+    """The package's sign at x = 0 and at infinity: the first and last of
+    ``sseq_of_dpoly``'s sign sequence."""
+    signs = sseq_of_dpoly(p)[0].signs
+    return signs[0], signs[-1]
+
+
 class TestEndpointSigns:
     def test_initial_is_coefficient_sum(self):
         p = DPolynomial(ExpBasis("F", (3.0, 1.0)), (2.0, -0.5))
-        assert initial_sign(p) is Sign.PLUS
+        assert _ends(p)[0] is Sign.PLUS
         g = DPolynomial(ExpBasis("G", (3.0, 1.0)), (2.0, -0.5))
-        assert initial_sign(g) is Sign.PLUS
+        assert _ends(g)[0] is Sign.PLUS
 
     def test_kinds_agree(self):
         rng = np.random.default_rng(3)
@@ -178,31 +184,31 @@ class TestEndpointSigns:
             coeffs = tuple(rng.standard_normal(3))
             pf = DPolynomial(ExpBasis("F", decays), coeffs)
             pg = DPolynomial(ExpBasis("G", decays), coeffs)
-            assert initial_sign(pf) is initial_sign(pg)
+            assert _ends(pf)[0] is _ends(pg)[0] is Sign.of(math.fsum(coeffs))
 
     def test_terminal_slowest_coefficient_wins(self):
         p = DPolynomial(ExpBasis("F", (3.0, 2.0, 1.0)), (-5.0, -5.0, 0.25))
-        assert terminal_sign(p) is Sign.PLUS
+        assert _ends(p)[1] is Sign.PLUS
 
     def test_terminal_skips_zero_slot(self):
         p = DPolynomial(ExpBasis("F", (3.0, 2.0, 1.0)), (-5.0, 4.0, 0.0))
-        assert terminal_sign(p) is Sign.PLUS
+        assert _ends(p)[1] is Sign.PLUS
 
     def test_all_zero(self):
+        # no sign at either end: the sequence is empty
         p = DPolynomial(ExpBasis("F", (2.0, 1.0)), (0.0, 0.0))
-        assert initial_sign(p) is Sign.ZERO
-        assert terminal_sign(p) is Sign.ZERO
+        assert sseq_of_dpoly(p)[0].signs == ()
 
     def test_integrated_terminal_weighting(self):
         # x^2-weighted tail: the sign of sum a_i/alpha_i^2 decides.
         p = DPolynomial(ExpBasis("G", (2.0, 1.0)), (-3.9, 1.0))
-        assert terminal_sign(p) is Sign.PLUS  # -3.9/4 + 1/1 > 0
+        assert _ends(p)[1] is Sign.PLUS  # -3.9/4 + 1/1 > 0
         q = DPolynomial(ExpBasis("G", (2.0, 1.0)), (-4.1, 1.0))
-        assert terminal_sign(q) is Sign.MINUS
+        assert _ends(q)[1] is Sign.MINUS
 
     def test_integrated_zero_decay_dominates(self):
         p = DPolynomial(ExpBasis("G", (2.0, 0.0)), (-100.0, 0.5))
-        assert terminal_sign(p) is Sign.PLUS
+        assert _ends(p)[1] is Sign.PLUS
 
     def test_one_factor_yield_threshold(self):
         # terminal sign of the yield derivative flips where the state
@@ -213,7 +219,7 @@ class TestEndpointSigns:
             u = sig * sig * kap * kap / lam
             w = kap * lam * (theta - z) - u
             p = DPolynomial(ExpBasis("G", (2 * lam, lam)), (u, w))
-            assert terminal_sign(p) is expected
+            assert _ends(p)[1] is expected
 
 
 class TestSseqOfDpoly:
@@ -529,6 +535,17 @@ class TestCoefInequality:
 
 
 class TestPerturbation:
+    @pytest.mark.parametrize("kind", ["F", "G"])
+    def test_delta_reuses_the_descent(self, monkeypatch, kind):
+        # The radius reads its probes through the descent that located
+        # the zeros rather than building a second one.
+        built = []
+        init = dc._Descent.__init__
+        monkeypatch.setattr(dc._Descent, "__init__", lambda self, p: built.append(p) or init(self, p))
+        p = interpolate_prescribed_zeros(ExpBasis(kind, (3.0, 2.0, 1.0)), [0.5, 2.0])
+        assert perturbation_delta(p) > 0.0
+        assert built == [p]
+
     def test_zero_eps_identity(self):
         p = interpolate_prescribed_zeros(ExpBasis("F", (3.0, 2.0, 1.0)), [0.5, 2.0])
         assert perturb_coefficients(p, 0.0).coefficients == p.coefficients
