@@ -216,10 +216,13 @@ def _cmd_map(args) -> int:
         payload = [dict(zip(header, row)) for row in rows]
         _emit(_to_json(payload), args.out)
     else:
-        # Rows are in grid order, the last axis fastest: format each axis
-        # value once, as the csv writer would, instead of once per row.
-        text = itertools.product(*([str(v) for v in axis.tolist()] for axis in grid))
-        _emit(_csv_text(header, ((*z, *row[-2:]) for z, row in zip(text, rows))), args.out)
+        # Rows are in grid order, the last axis fastest: format each axis value
+        # once, and each distinct shape label once through the csv writer.
+        keys = map(",".join, itertools.product(*([str(v) for v in axis.tolist()] for axis in grid)))
+        shapes = list(zip(*rows))[-2:]
+        cell = {s: _csv_text([s], ())[:-1] for s in set().union(*shapes)}
+        lines = map(",".join, zip(keys, *(map(cell.get, col) for col in shapes)))
+        _emit(_csv_text(header, ()) + "\n".join(itertools.chain(lines, [""])), args.out)
     return EXIT_OK
 
 

@@ -219,26 +219,36 @@ def eval_dpoly(p: DPolynomial, x):
     return total
 
 
-def _levels(decays, coeffs):
-    """Rolle levels of sum_j a_j exp(-d_j x) for decays increasing along
-    the last axis (one row, or rows of a batch), and the settle bound X.
-
-    Level 0 is exp(d_0 x) times the sum.  Level i is sum_{j>=i} c_ij
-    exp(-(d_j - d_i) x) with c_0j = a_j and c_ij = c_(i-1)j (d_j -
-    d_(i-1)): a positive multiple of minus the derivative of level i-1,
-    with one term fewer.  Levels run to the two-term level k-2.  Past X
-    every level's slowest term outweighs twice the rest; X is inf or NaN
-    where some c_ii is 0 or a ratio overflows.
+def _levels(decays, coeffs, order=None, stop=None):
+    """Rolle levels of sum_j a_j exp(-d_j x), decays along the last axis (one row,
+    or rows of a batch) in column ``order``, and settle bounds X.  Level 0 is
+    exp(d_0 x) times the sum, level i sum_{j>=i} c_ij exp(-(d_j - d_i) x) with c_0j
+    = a_j, c_ij = c_(i-1)j (d_j - d_(i-1)): a positive multiple of minus the
+    derivative of level i-1, with one term fewer, to the two-term level k-2 or to
+    stop-1.  Past X each level's slowest term outweighs twice the rest (X is inf
+    where it is 0 or a ratio overflows).  In increasing decay order (no ``order``)
+    that is each level's first, and one X column serves all.  Else a level may
+    grow (d_j < d_i); its slowest term has the smallest exponent, and column i
+    of X covers the levels from i up.
     """
+    if order is not None:
+        decays, coeffs = decays[..., order], coeffs[..., order]
     k = coeffs.shape[-1]
-    levels = [(decays - decays[..., :1], coeffs)]
-    for i in range(1, k - 1):
+    levels, ends = [(decays - decays[..., :1], coeffs)], [0.0]
+    for i in range(1, k - 1 if stop is None else stop):
         e, c = levels[-1]
         levels.append((decays[..., i:] - decays[..., i : i + 1], c[..., 1:] * e[..., 1:]))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ends = [np.log(np.maximum(2 * k * np.abs(c[..., 1:] / c[..., :1]), 1.0)) / e[..., 1:]
-                for e, c in levels]
-    return levels, np.fmax.reduce(np.concatenate(ends, axis=-1), axis=-1, initial=0.0)
+        if order is None:
+            x = [np.log(np.maximum(2 * k * np.abs(c[..., 1:] / c[..., :1]), 1.0)) / e[..., 1:]
+                 for e, c in levels]
+            return levels, np.fmax.reduce(np.concatenate(x, axis=-1), axis=-1, initial=0.0)[..., None]
+        for e, c in levels[::-1]:
+            em = np.min(e, axis=-1, keepdims=True, initial=np.inf)
+            cm = np.sum(np.where(e == em, c, 0.0), axis=-1, keepdims=True)
+            x = np.log(np.maximum(2 * k * np.abs(c / cm), 1.0)) / (e - em)
+            ends.insert(0, np.fmax(np.fmax.reduce(np.where(e > em, x, 0.0), axis=-1), ends[0]))
+    return levels, np.stack(ends[:-1], axis=-1)
 
 
 def boundary_zero(coefficients: Sequence[float]) -> bool:
@@ -292,8 +302,8 @@ class _Descent:
         terms = sorted((d, a) for a, d in zip(p.coefficients, p.basis.decays) if a != 0.0)
         self.basis, self.kind = p.basis, p.basis.kind
         self.d, self.a = [d for d, _ in terms], [a for _, a in terms]
-        levels, x_end = _levels(np.array(self.d), np.array(self.a))
-        self.levels, self.x_end = [(e.tolist(), c.tolist()) for e, c in levels], float(x_end)
+        levels, ends = _levels(np.array(self.d), np.array(self.a))
+        self.levels, self.x_end = [(e.tolist(), c.tolist()) for e, c in levels], float(ends[0])
         if not math.isfinite(self.x_end):
             raise NumericalInconsistencyError(
                 "Rolle descent has no finite bound where the slowest term settles the sign"

@@ -14,13 +14,12 @@ shape.  Most rows are decided from their coefficients alone: the
 kernels are Descartes systems, so Laguerre's rule bounds the zero count
 by the sign changes of the coefficients and of their partial sums, and
 the signs at 0 and at infinity fix its parity.  Rolle's theorem counts
-the rest in float64, with no grid, whether the decays vary by row
-(sweeps) or one decay row is shared (fixed models).  A row with a value
-within ``descartes.ZERO_EPS`` of its term magnitude sum takes its
-sequence from ``sseq_of_dpoly``, the same descent on its own float64
-polynomial with each doubtful value signed at 50 digits.  Any apparent
-violation is re-checked with the careful scalar classifier before it is
-reported.
+the rest in float64, with no grid; a fixed model's state slots go first,
+so the levels after them are solved once per call.  A row with a value
+within ``_FLOOR`` of its term magnitude sum takes its sequence from
+``sseq_of_dpoly``, the same descent on its own float64 polynomial with
+each doubtful value signed at 50 digits.  Any apparent violation is
+re-checked with the careful scalar classifier before it is reported.
 """
 
 from __future__ import annotations
@@ -65,6 +64,8 @@ _KIND = {"forward": F_KIND, "yield": G_KIND}  # each curve's kernel
 #: decay below _DECAY_SPREAD times its slowest, sqrt(_BATCH_RANGE) / 20.
 _BATCH_RANGE = 0.5 * float(np.finfo(np.float32).max)
 _DECAY_SPREAD = np.sqrt(_BATCH_RANGE) / 20.0
+#: Deferral floor: ZERO_EPS past a float64 sum's rounding (the x = 0 band's edge).
+_FLOOR = ZERO_EPS + 8 * np.finfo(float).eps
 
 
 #: Sampling ranges of a theorem sweep (lambda_1, kappa, sigma from 0, theta
@@ -238,12 +239,12 @@ def _careful_first_changes(kind: str, decays: np.ndarray, coeffs: np.ndarray) ->
 def _certify(decays: np.ndarray, coeffs: np.ndarray, term: dict, abs_sum: np.ndarray) -> tuple:
     """(first sign, bound B, decided rows per curve of ``term``, which maps
     curves to terminal signs).  B is V where a partial sum is within
-    ``ZERO_EPS`` * ``abs_sum``; first is 0 unless sum a clears that floor,
-    and G's sum a_j / d_j^2 must clear ZERO_EPS * sum |a_j| / d_j^2."""
+    ``_FLOOR`` * ``abs_sum``; first is 0 unless sum a clears that floor,
+    and G's sum a_j / d_j^2 must clear _FLOOR * sum |a_j| / d_j^2."""
     n = coeffs.shape[0]
     v, p, last, prev = np.zeros((4, n), dtype=np.int8)
     partial, weighted = np.zeros(n), np.zeros((2, n))  # weighted: sum a_j / d_j^2, |.|
-    weak, floor = np.zeros(n, dtype=bool), ZERO_EPS * abs_sum
+    weak, floor = np.zeros(n, dtype=bool), _FLOOR * abs_sum
     for j, a in enumerate(coeffs.T):
         s = np.sign(a).astype(np.int8)
         v += s * last < 0
@@ -258,7 +259,7 @@ def _certify(decays: np.ndarray, coeffs: np.ndarray, term: dict, abs_sum: np.nda
             weighted += (w, np.abs(w))
     first = np.where(np.abs(partial) > floor, prev, 0).astype(np.int8)
     bound = np.where(weak, v, np.minimum(v, p))
-    clear = {"forward": True, "yield": np.abs(weighted[0]) > ZERO_EPS * weighted[1]}
+    clear = {"forward": True, "yield": np.abs(weighted[0]) > _FLOOR * weighted[1]}
     return first, bound, {c: (first != 0) & (bound - (first != t) < 2) & clear[c]
                           for c, t in term.items()}
 
@@ -307,11 +308,11 @@ def _scan_curves(
 
 
 def _level_zeros(e: np.ndarray, c: np.ndarray, pts: np.ndarray, sign: np.ndarray,
-                 pick: np.ndarray) -> np.ndarray:
+                 pick: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
     """On the rows of ``pick``, the zero of sum_j c_j exp(-e_j x) between
     consecutive points of opposite sign, where it is monotone (inf
-    elsewhere, NaN if not found): closed form for two terms, else
-    safeguarded Newton from the first two-term zero inside the bracket."""
+    elsewhere, NaN if not found): closed form for two terms, else safeguarded
+    Newton from ``start`` (per bracket) if inside, else the first two-term zero."""
     r, j = np.nonzero((sign[:, :-1] != sign[:, 1:]) & pick[:, None])
     zeros = np.full((pts.shape[0], pts.shape[1] - 1), np.inf)
     if c.shape[1] == 2 or not r.size:
@@ -320,70 +321,115 @@ def _level_zeros(e: np.ndarray, c: np.ndarray, pts: np.ndarray, sign: np.ndarray
     e, c, lo, hi, pos, act = e[r], c[r], pts[r, j], pts[r, j + 1], sign[r, j] > 0, np.arange(r.size)
     mid = lambda lo, hi: np.sqrt(np.maximum(lo, 1e-6 * hi) * hi)  # noqa: E731
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        guess = np.log(-c[:, 1:] / c[:, :-1]) / (e[:, 1:] - e[:, :-1])
-        inside = (guess > lo[:, None]) & (guess < hi[:, None])
-        at = np.where(inside.any(axis=1), guess[act, inside.argmax(axis=1)], mid(lo, hi))
+        at = np.full(r.size, np.nan) if start is None else start[r, j]
+        m = np.flatnonzero(~((at > lo) & (at < hi)))
+        guess = np.log(-c[m, 1:] / c[m, :-1]) / (e[m, 1:] - e[m, :-1])
+        inside = (guess > lo[m, None]) & (guess < hi[m, None])
+        at[m] = np.where(inside.any(axis=1), guess[np.arange(m.size), inside.argmax(1)], mid(lo[m], hi[m]))
         ne, coef, x = -e, np.stack((c, c * e)), np.full(r.size, np.nan)
         for _ in range(_MAX_STEPS):
             g, slope = np.einsum("ij,kij->ki", np.exp(ne * at[:, None]), coef)
             step, up = g / slope, (g > 0) == pos  # step = -g / g'
             lo, hi = np.where(up, at, lo), np.where(up, hi, at)
-            at = np.where((at + step >= lo) & (at + step <= hi), at + step, mid(lo, hi))
+            at = np.where(((nxt := at + step) >= lo) & (nxt <= hi), nxt, mid(lo, hi))
             done = np.minimum(np.abs(step), hi - lo) <= _RTOL * at
             if done.any():
-                x[act[done]], keep = at[done], ~done
+                x[act[done]], keep = at[done], np.flatnonzero(~done)
+                if done.all():
+                    break
                 act, ne, coef, pos, lo, hi, at = (
                     act[keep], ne[keep], coef[:, keep], pos[keep], lo[keep], hi[keep], at[keep])
-                if not act.size:
-                    break
     zeros[r, j] = x
     return zeros
+
+
+def _climb(levels: list, x_end, zeros, bad, solve_last: bool, start=None) -> tuple:
+    """Signs of ``levels`` (top first) at 0, the level above's sorted zeros and X
+    (``x_end`` column i), and their zeros (the last level's if ``solve_last``; ``start``
+    serves the top one): the last points, signs and zeros, and ``bad`` updated."""
+    for i in range(len(levels) - 1, -1, -1):
+        e, c, end = *levels[i], x_end[:, i : i + 1]
+        pts = np.concatenate((np.zeros_like(end), np.fmin(zeros, end), end), axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: deferred
+            E = np.exp(-e[:, None] * pts[..., None])
+        g = np.einsum("rpw,rw->rp", E, c)
+        bad |= ~np.all(np.abs(g) > _FLOOR * np.einsum("rpw,rw->rp", E, np.abs(c)), axis=1)
+        sign = np.sign(g)
+        if i or solve_last:
+            zeros = _level_zeros(e, c, pts, sign, ~bad, start if i == len(levels) - 1 else None)
+            bad |= np.isnan(zeros).any(axis=1)
+            zeros.sort(axis=1)
+    return pts, sign, zeros, bad
+
+
+def _shared_descent(decays: np.ndarray, coeffs: np.ndarray, keep: np.ndarray) -> tuple | None:
+    """Levels a shared decay row (k,) leaves the same in every row once the nv
+    ``keep`` columns that vary by row go first, solved on the first row (README,
+    Numerical notes): None where there are none, () where one fails.  Else (order,
+    nv, their X, level nv's zeros (1, m), and per bracket of 0, those zeros and 2 X,
+    a table (s H, x, s) of H = W - level nv-1, W its per-row pivot term, s H rising)."""
+    vary = np.ascontiguousarray(coeffs.T != coeffs[:1].T)[keep].any(axis=1)
+    if decays.ndim != 1 or (nv := max(int(vary.sum()), 1)) >= vary.size - 1:
+        return None
+    order = np.argsort(~vary, kind="stable")  # the varying columns first, in decay order
+    levels, ends = _levels(decays[None, keep], coeffs[:1, keep], order)
+    _, _, zeros, bad = _climb(levels[nv:], ends[:, nv:], np.empty((1, 0)), np.zeros(1, bool), True)
+    if bad[0]:
+        return ()
+    (e, c), z = (v[0, 1:] for v in levels[nv - 1]), np.fmin(zeros[0], 2.0 * ends[0, nv])
+    x = np.linspace((0.0, *z), (*z, 2.0 * ends[0, nv]), 256, axis=1)
+    h = -np.exp(-x[..., None] * e) @ c
+    return order, nv, ends[0, nv], zeros, [(s * h, x, s) for h, x, s in
+                                           zip(h, x, np.sign(h[:, -1] - h[:, 0]))]
 
 
 def _rolle_scan(decays: np.ndarray, coeffs: np.ndarray, term: dict) -> tuple:
     """(first sign, change count) per row by Rolle's theorem (README,
     Numerical notes), and the rows deferred, for decays (n, k) or a shared
-    row (k,) and the curves of ``term`` (curve -> terminal signs).  Level
-    i, sum_{j>=i} c_ij exp(-(d_j - d_i) x) with c_0j = a_j and c_ij =
-    c_(i-1)j (d_j - d_(i-1)), has one zero between consecutive points of
-    (0, level i+1's zeros, X) of opposite sign, and none past X, where its
-    slowest term outweighs twice the rest.  Slots zero in every row are
-    left out, since one would defer them all; a row with c_ii = 0, a value
-    within ``ZERO_EPS`` of its term magnitude sum, a zero not found or an
-    end sum in its floor is deferred.
+    row (k,) and the curves of ``term`` (curve -> terminal signs).  Level i
+    of ``descartes._levels`` has one zero between consecutive points of (0,
+    level i+1's zeros, X) of opposite sign, and none past X.  Slots zero in
+    every row are left out; each zero-slot pattern takes its own call.  Past
+    the levels ``_shared_descent`` solves once, Newton starts from H's inverse
+    and each level has its own X; else level 0's X serves all, in decay
+    order.  A row with c_ii = 0, a value within _FLOOR of its term magnitude
+    sum, a zero not found or an end sum in its floor is deferred.
     """
-    decays, keep = np.broadcast_to(decays, coeffs.shape), np.any(coeffs != 0.0, axis=0)
-    n, k = coeffs.shape[0], int(np.count_nonzero(keep))
+    n, zero = coeffs.shape[0], np.ascontiguousarray(coeffs.T == 0.0)  # reduced fast by slot
     out = {c: (np.zeros(n, dtype=np.int8), np.zeros(n, dtype=np.int32)) for c in term}
     deferred = {c: np.zeros(n, dtype=bool) for c in term}
+    if np.any(zero.any(axis=1) & (keep := ~zero.all(axis=1))):
+        group = np.unique(zero.T, axis=0, return_inverse=True)[1].reshape(-1)
+        for rows in (group == p for p in range(group.max() + 1)):
+            got, dfr = _rolle_scan(decays if decays.ndim == 1 else decays[rows], coeffs[rows],
+                                   {c: t[rows] for c, t in term.items()})
+            for c in term:
+                out[c][0][rows], out[c][1][rows], deferred[c][rows] = *got[c], dfr[c]
+        return out, deferred
+    order, nv, x_shared, z_shared, tables = (n and _shared_descent(decays, coeffs, keep)) or (
+        None, max(int(keep.sum()) - 1, 1), 0.0, np.empty((1, 0)), ())
+    decays = np.broadcast_to(decays, coeffs.shape)
     for sl in (slice(start, start + _BLOCK) for start in range(0, n, _BLOCK)):
         d, a = decays[sl][:, keep], coeffs[sl][:, keep]
-        levels, x_end = _levels(d, a)
-        x_end = x_end[:, None]
+        levels, ends = _levels(d, a, order, nv)
+        x_end = np.maximum(ends, x_shared) if tables else ends.repeat(nv, axis=1)
         bad = ~np.isfinite(x_end[:, 0])
-        x_end[bad], zeros = 1.0, np.empty((a.shape[0], 0))
-        for i in range(max(k - 2, 0), -1, -1):  # g_0(0) = sum a: l's first sign and its floor
-            e, c = levels[i]
-            pts = np.concatenate((0.0 * x_end, np.fmin(zeros, x_end), x_end), axis=1)
-            g, mag = np.einsum("rpw,krw->krp", np.exp(-e[:, None] * pts[..., None]), [c, abs(c)])
-            bad |= np.any(np.abs(g) <= ZERO_EPS * mag, axis=1)
-            sign = np.sign(g)
-            if i:
-                zeros = _level_zeros(e, c, pts, sign, ~bad)
-                bad |= np.isnan(zeros).any(axis=1)
-                zeros.sort(axis=1)
+        x_end[bad] = 1.0
+        start = np.array([np.interp(s * levels[-1][1][:, 0], h, x, np.nan, np.nan)
+                          for h, x, s in tables]).T if tables else None
+        pts, sign, _, bad = _climb(levels, x_end, z_shared, bad, False, start)
         first, fwd = sign[:, 0], np.count_nonzero(np.diff(sign), axis=1)
         counts = {"forward": (fwd, bad)}
         if "yield" in term:
             end, w = term["yield"][sl], a / (d * d)
-            bad = bad | (np.abs(w.sum(axis=1)) <= ZERO_EPS * np.abs(w).sum(axis=1))
+            bad = bad | (np.abs(w.sum(axis=1)) <= _FLOOR * np.abs(w).sum(axis=1))
             parity = (first != end).astype(np.int32)
             counts["yield"], rows = (parity, bad), ~bad & (fwd - parity >= 2)
             if rows.any():
                 z = np.sort(_level_zeros(*levels[0], pts, sign, rows)[rows], axis=1)
-                t = a[rows, None] * g_kernel_value(d[rows, None] * np.fmin(z, x_end[rows])[..., None])
+                t = a[rows, None] * g_kernel_value(d[rows, None] * np.fmin(z, x_end[rows, :1])[..., None])
                 m = t.sum(axis=2)
-                bad[rows] |= np.any(np.isnan(z) | (np.abs(m) <= ZERO_EPS * np.abs(t).sum(axis=2)), 1)
+                bad[rows] |= np.any(np.isnan(z) | (np.abs(m) <= _FLOOR * np.abs(t).sum(axis=2)), 1)
                 seq = np.concatenate((first[rows, None], np.sign(m), end[rows, None]), axis=1)
                 parity[rows] = np.count_nonzero(np.diff(seq), axis=1)
         for c in term:
@@ -558,12 +604,9 @@ def state_space_map(
         states = np.stack([a.ravel(), b.ravel()], axis=1)
 
     scans = _scan_curves(*_fixed_model_slots(model, states))
-    fwd, yld = (_shape_codes(*scans[curve]) for curve in ("forward", "yield"))
-    label = {int(c): str(decode_shape(int(c))) for c in np.union1d(fwd, yld)}
-    return [
-        (*z, label[f], label[y])
-        for z, f, y in zip(states.tolist(), fwd.tolist(), yld.tolist())
-    ]
+    codes = [_shape_codes(*scans[curve]) for curve in ("forward", "yield")]
+    label = [str(decode_shape(c)) for c in range(int(np.max(codes, initial=0)) + 1)]
+    return list(zip(*states.T.tolist(), *(map(label.__getitem__, c.tolist()) for c in codes)))
 
 
 @dataclass

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracle import count
 
 from termshapes import classify as cl
 from termshapes import signseq as ss
@@ -466,6 +467,31 @@ class TestScanInternals:
             for g, w in zip(got[curve], whole[curve]):
                 np.testing.assert_array_equal(g, w)
 
+    @pytest.mark.parametrize("block", [256, 2048])
+    @pytest.mark.parametrize("name", ["separated", "proximal", "critical"])
+    def test_shared_levels_solved_once_per_call(self, monkeypatch, name, block):
+        # A fixed model's rows differ only in the w1 and w2 slots, which the
+        # descent eliminates first: the levels after them, with k - 2 terms
+        # or fewer, reach _level_zeros on one row, once per call, however
+        # many blocks the rows fill.
+        decays, coeffs = _slot_rows(SHARED_MODELS[name], 64 * 3 * 256, seed=1)
+        left = np.flatnonzero(~np.logical_and(*_certificate(decays, coeffs)[2].values()))
+        coeffs, k = coeffs[left[: 3 * 256]], decays.size
+        assert coeffs.shape[0] == 3 * 256
+        calls = []
+        real = vf._level_zeros
+
+        def counted(e, c, *args):
+            calls.append(c.shape)
+            return real(e, c, *args)
+
+        monkeypatch.setattr(vf, "_level_zeros", counted)
+        monkeypatch.setattr(vf, "_BLOCK", block)
+        _assert_matches_careful(vf._scan_curves(decays, coeffs), decays, coeffs)
+        shared = [rows for rows, terms in calls if terms <= k - 2]
+        assert shared == [1] * (k - 3)
+        assert len(calls) > len(shared)  # the state levels, once per block
+
     def test_certified_rows_skip_the_rolle_stage(self, monkeypatch):
         # One-factor rows have two terms, so V <= 1 and the certificate
         # decides every row whose coefficient sum and G weight clear the
@@ -527,6 +553,68 @@ class TestScanInternals:
         strict_attainability_mc(sol.model, sol.state, 0.01, 3 * vf._BLOCK, ss.HDH, seed=3,
                                 curve=curve)
         assert len(calls) <= 5
+
+
+def _boundary_states(model, states, z2):
+    """Pairs of states on the line z2 = const, one grid step of 2^-50 of
+    the states' z1 span apart, around each z1 where a batch code changes.
+    Each bisection step scans 33 points of the bracket together with
+    ``states``, so the line's rows take the shared path of a full call."""
+    lo, hi = states[:, 0].min(), states[:, 0].max()
+    out = []
+    for curve in vf._KIND:
+        line = np.linspace(lo, hi, 33)
+        codes = vf._fixed_model_codes(model, np.vstack((np.column_stack((line, 0 * line + z2)), states)), curve)[:33]
+        for i in np.flatnonzero(codes[1:] != codes[:-1]):
+            a, b = line[i], line[i + 1]
+            for _ in range(10):
+                z1 = np.linspace(a, b, 33)
+                rows = np.vstack((np.column_stack((z1, 0 * z1 + z2)), states))
+                got = vf._fixed_model_codes(model, rows, curve)[:33]
+                j = np.flatnonzero(got[1:] != got[:-1])[0]
+                a, b = z1[j], z1[j + 1]
+            out += [(a, z2), (b, z2)]
+    return np.array(out)
+
+
+class TestSharedDescent:
+    """Fixed models through the shared-level descent against the careful
+    scan on every row, and against the 50-digit oracle on both sides of
+    each point where a batch count changes."""
+
+    @staticmethod
+    def _check(model, states, z2):
+        edges = _boundary_states(model, states, z2)
+        assert edges.size
+        rows = np.vstack((states, edges))
+        decays, coeffs = vf._fixed_model_slots(model, rows)
+        got = vf._scan_curves(decays, coeffs)
+        _assert_matches_careful(got, decays, coeffs)
+        for curve, kind in vf._KIND.items():
+            for i in range(states.shape[0], rows.shape[0]):
+                want = count(kind, decays, coeffs[i])
+                assert (got[curve][0][i], got[curve][1][i]) == want
+
+    @pytest.mark.parametrize("base,curve", [("separated", "forward"), ("separated", "yield"),
+                                            ("proximal", "forward")])
+    def test_constructed_hdh_models(self, request, base, curve):
+        # Separated HDH models have rho = 0, so the cross slot is 0 in every
+        # state; the proximal one has rho < 0.  States are a small-time OU
+        # step from the constructed state, as ``simulate`` draws them.
+        sol, _ = construct_target("HDH", request.getfixturevalue(f"{base}_base"), curve)
+        assert (sol.model.rho == 0) == (base == "separated") and sol.model.rho <= 0
+        noise = np.random.default_rng(7).standard_normal((400, 2))
+        states = vk.ou_exact_step(sol.model, sol.state, 0.01, noise)
+        assert not np.any(vf._fixed_model_slots(sol.model, states)[1][:, 3]) == (base == "separated")
+        self._check(sol.model, states, sol.state[1])
+
+    @pytest.mark.parametrize("name", ["near-separated", "near-proximal"])
+    def test_near_critical_models(self, name):
+        # lambda2 = 2 lambda1 (1 +/- 5e-7): the level after the state slots
+        # has exponents -7e-7 (or +7e-7), 0.7 and 1.4 relative to its pivot.
+        model = SHARED_MODELS[name]
+        states = np.random.default_rng(3).uniform(-0.3, 0.3, (400, 2))
+        self._check(model, states, 0.0)
 
 
 class TestStrictAttainability:
