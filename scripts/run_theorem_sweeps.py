@@ -43,7 +43,7 @@ def stage_counts(decays: np.ndarray, coeffs: np.ndarray) -> dict[str, tuple[floa
     (n, k), or one row (k,) shared by every row."""
     abs_sum = np.abs(coeffs).sum(axis=1)
     term = {c: verify._terminal_signs(decays, coeffs, k) for c, k in verify._KIND.items()}
-    _, _, decided = verify._certify(decays, coeffs, term, abs_sum)
+    _, _, decided = verify._certify(coeffs, term, abs_sum)
     rows = np.flatnonzero(~np.logical_and(*decided.values()))
     _, deferred = verify._rolle_scan(decays if decays.ndim == 1 else decays[rows], coeffs[rows],
                                      {c: signs[rows] for c, signs in term.items()})

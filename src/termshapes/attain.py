@@ -59,9 +59,9 @@ from .descartes import (
     coef_inequality_value,
     interpolate_prescribed_zeros,
 )
-from .signseq import ShapeName, shape_from_label
+from .signseq import ShapeName, Sign, shape_from_label
 from .vasicek import (ScaleRegime, VasicekModel, coefficient_parts, l_coefficients,
-                      m_coefficients, regime, slot_decays, slot_layout, with_covariance)
+                      m_coefficients, regime, slot_decays, slot_layout)
 
 Curve = Literal["forward", "yield"]
 
@@ -216,7 +216,7 @@ def solve_key_system(
     mixed = rho * sigma1 * sigma2 * k1 * k2 / (l1 * l2)
     z1 = base.theta[0] - (tc.a_l1 + tc.a_2l1 + l1 * mixed) / (k1 * l1)
     z2 = base.theta[1] - (tc.a_l2 + tc.a_2l2 + l2 * mixed) / (k2 * l2)
-    model = with_covariance(base, sigma1, sigma2, rho)
+    model = replace(base, sigma=(sigma1, sigma2), rho=rho)
     decays, coeffs = slot_layout(base.lam, tc.parts)
     return AttainSolution(
         sigma1=sigma1,
@@ -232,64 +232,25 @@ def solve_key_system(
     )
 
 
-@dataclass(frozen=True)
-class _Route:
-    case: str
-    tags: tuple[str, ...]
-    orientation: int = 1
-    boundary_zero: bool = False
-    shrink: bool = False
-    # Pad the empty slowest slot with a tiny negative coefficient instead
-    # of zero: a zero target must be encoded through the state, and its
-    # float reconstruction is +-1 ulp noise whose sign would decide the
-    # terminal sign of the curve.  The nudge direction matches the
-    # sign-sequence-preserving perturbation of the neighbouring slot, and
-    # its size stays below the stability radius of the sign sequence.
-    epsilon_slowest: bool = False
-
-
-def _route_for(shape: ShapeName, reg: ScaleRegime) -> _Route:
-    label = shape.label
-    if label == "normal":
-        return _Route("i", ("l1",), orientation=1)
-    if label == "inverse":
-        return _Route("i", ("l1",), orientation=-1)
-    if label == "humped":
-        return _Route("ii", ("l2", "l1"), orientation=1)
-    if label == "dipped":
-        return _Route("ii", ("l2", "l1"), orientation=-1)
-    if label == "HD":
-        return _Route("iii", ("2l2", "l2", "l1"))
-    if label == "DH":
-        if reg is ScaleRegime.SEPARATED:
-            return _Route("iv", ("l2", "2l1", "l1"), orientation=-1)
-        if reg is ScaleRegime.CRITICAL:
-            return _Route("vi", ("2l2", "cross", "merged", "l1"), boundary_zero=True)
-        return _Route(
-            "vi",
-            ("2l2", "cross", "2l1", "l2"),
-            boundary_zero=True,
-            shrink=True,
-            epsilon_slowest=True,
-        )
-    if label == "HDH":
-        if reg is ScaleRegime.SEPARATED:
-            return _Route("v", ("2l2", "l2", "2l1", "l1"))
-        if reg is ScaleRegime.CRITICAL:
-            return _Route("vi", ("2l2", "cross", "merged", "l1"))
-        return _Route(
-            "vi", ("2l2", "cross", "2l1", "l2"), shrink=True, epsilon_slowest=True
-        )
-    if label == "DHD":
-        return _Route(
-            "vii",
-            ("2l2", "cross", "2l1", "l2", "l1"),
-            boundary_zero=True,
-            shrink=True,
-        )
-    if label == "HDHD":
-        return _Route("vii", ("2l2", "cross", "2l1", "l2", "l1"), shrink=True)
-    raise AssertionError(f"unhandled shape {shape}")
+#: Each shape's construction route: its proof case and the slots of its
+#: Descartes subsystem, fastest first (DH and HDH also keyed by regime).
+#: ``construct`` derives the rest from the case, the tags and the shape's
+#: first sign.
+_ROUTES = {
+    "normal": ("i", ("l1",)),
+    "inverse": ("i", ("l1",)),
+    "humped": ("ii", ("l2", "l1")),
+    "dipped": ("ii", ("l2", "l1")),
+    "HD": ("iii", ("2l2", "l2", "l1")),
+    ("DH", ScaleRegime.SEPARATED): ("iv", ("l2", "2l1", "l1")),
+    ("DH", ScaleRegime.CRITICAL): ("vi", ("2l2", "cross", "merged", "l1")),
+    ("DH", ScaleRegime.PROXIMAL): ("vi", ("2l2", "cross", "2l1", "l2")),
+    ("HDH", ScaleRegime.SEPARATED): ("v", ("2l2", "l2", "2l1", "l1")),
+    ("HDH", ScaleRegime.CRITICAL): ("vi", ("2l2", "cross", "merged", "l1")),
+    ("HDH", ScaleRegime.PROXIMAL): ("vi", ("2l2", "cross", "2l1", "l2")),
+    "DHD": ("vii", ("2l2", "cross", "2l1", "l2", "l1")),
+    "HDHD": ("vii", ("2l2", "cross", "2l1", "l2", "l1")),
+}
 
 
 def _pad(
@@ -383,39 +344,38 @@ def construct(target: ShapeTarget, base: VasicekModel) -> AttainSolution:
         labels = sorted(str(s) for s in attainable if s.label != "flat")
         raise InadmissibleShapeError(target.shape, reg, labels)
 
-    route = _route_for(target.shape, reg)
-    if target.extrema and route.case in ("vi", "vii"):
+    case, tags = _ROUTES.get((target.shape.label, reg)) or _ROUTES[target.shape.label]
+    if target.extrema and case in ("vi", "vii"):
         raise ValueError(
             f"prescribed extrema are not supported for shape {target.shape} in "
-            f"the scale-{reg} regime (construction case ({route.case}) offers "
+            f"the scale-{reg} regime (construction case ({case}) offers "
             "no control over their locations)"
         )
+    # Dip-first shapes put their first zero at x = 0 in cases (vi)/(vii) and
+    # negate the interpolant elsewhere; pinning the cross slot beside both
+    # squared-decay slots needs the zeros shrunk until |rho| < 1.
+    minus = target.shape.first is Sign.MINUS
+    at_zero = minus and case in ("vi", "vii")
+    shrink = {"2l2", "cross", "2l1"} <= set(tags)
 
     l1, l2 = base.lam
     kind = F_KIND if target.curve == "forward" else G_KIND
     decay = slot_decays(l1, l2)
-    basis = ExpBasis(kind, tuple(decay[t] for t in route.tags))
+    basis = ExpBasis(kind, tuple(decay[t] for t in tags))
     n = len(basis)
 
     if n == 1:
-        poly = DPolynomial(basis, (float(route.orientation),))
+        poly = DPolynomial(basis, (1.0,))
         zeros: tuple[float, ...] = ()
     else:
-        if target.extrema:
-            interior = target.extrema
-        else:
-            interior = tuple(
-                float(k + 1) for k in range(n - 1 - int(route.boundary_zero))
-            )
+        interior = target.extrema or tuple(float(k + 1) for k in range(n - 1 - at_zero))
         scale = 1.0
         for _ in range(MAX_HALVINGS + 1):
             zeros = tuple(r * scale for r in interior)
-            if route.boundary_zero:
+            if at_zero:
                 zeros = (0.0, *zeros)
             poly = interpolate_prescribed_zeros(basis, zeros)
-            if not route.shrink:
-                break
-            if coef_inequality_value(poly, l1, l2) < 2.0:
+            if not shrink or coef_inequality_value(poly, l1, l2) < 2.0:
                 break
             scale *= 0.5
         else:
@@ -423,16 +383,21 @@ def construct(target: ShapeTarget, base: VasicekModel) -> AttainSolution:
                 f"coefficient inequality not satisfied after {MAX_HALVINGS} "
                 f"halvings (shape {target.shape}, lam={base.lam})"
             )
-        if boundary_zero(poly.coefficients) and not route.boundary_zero:
+        if boundary_zero(poly.coefficients) and not at_zero:
             raise NumericalInfeasibilityError(
                 "prescribed zeros too close to 0 to verify: the sign engine reads the first "
                 "as a zero at the boundary"
             )
-        if route.orientation < 0:
-            poly = DPolynomial(basis, tuple(-a for a in poly.coefficients))
+    if minus and not at_zero:
+        poly = DPolynomial(basis, tuple(-a for a in poly.coefficients))
 
-    tags = route.tags
-    if route.epsilon_slowest:
+    if "l1" not in tags:
+        # Pad the empty slowest slot with a tiny negative coefficient instead
+        # of zero: a zero target must be encoded through the state, and its
+        # float reconstruction is +-1 ulp noise whose sign would decide the
+        # terminal sign of the curve.  The nudge direction matches the
+        # sign-sequence-preserving perturbation of the neighbouring slot, and
+        # its size stays below the stability radius of the sign sequence.
         tags = (*tags, "l1eps")
         padded = DPolynomial(ExpBasis(kind, (*basis.decays, l1)), (*poly.coefficients, 0.0))
         eps = _slowest_slot_epsilon(padded, zeros)
@@ -453,7 +418,7 @@ def construct(target: ShapeTarget, base: VasicekModel) -> AttainSolution:
         raise NumericalInfeasibilityError(
             f"key system unexpectedly unsolvable for shape {target.shape}"
         )
-    return replace(solution, dpoly=poly, proof_case=route.case, prescribed_zeros=zeros)
+    return replace(solution, dpoly=poly, proof_case=case, prescribed_zeros=zeros)
 
 
 @dataclass(frozen=True)

@@ -157,13 +157,14 @@ def classify_yield(model: VasicekModel, z) -> ShapeReport:
     return _classify(m_coefficients(model, z), "yield")
 
 
-def sign_bound(model: VasicekModel, z, curve: Curve = "forward") -> SignSeq:
-    """Reduced sign-sequence bound for the curve derivative.
+def sign_bound(model: VasicekModel, z) -> SignSeq:
+    """Reduced sign-sequence bound for the derivatives of both curves.
 
     Built from the correlation sign, the scale regime and the signs of
-    the state-dependent coefficients.  The curve derivative's sign
-    sequence is a subsequence of this bound; for the forward curve it is
-    even a tail-subsequence (the bound ends in the terminal sign).
+    the state-dependent coefficients.  The forward derivative's sign
+    sequence is a subsequence of this bound, even a tail-subsequence (the
+    bound ends in the terminal sign); the yield derivative's sequence
+    heads the forward one, so the bound holds for it too.
     """
     if model.d != 2:
         raise ValueError("sign bounds apply to two-factor models only")

@@ -83,11 +83,8 @@ def _resolve_state(model: VasicekModel, z_arg: str | None, embedded) -> tuple:
         values = embedded
     else:
         raise _CliError("no state vector: pass --z or embed \"z\" in the model file")
-    try:
-        state = as_state(values, model.d)
-        coefficient_parts(model, state)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    state = as_state(values, model.d)
+    coefficient_parts(model, state)
     return state
 
 
@@ -136,10 +133,7 @@ def _cmd_attain(args) -> int:
             extrema = tuple(float(v) for v in args.extrema.split(","))
         except ValueError:
             raise _CliError(f"cannot parse extrema {args.extrema!r}") from None
-    try:
-        shape = shape_from_label(args.shape)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    shape = shape_from_label(args.shape)
     solution, verification = attain.construct_target(
         shape, model, curve=args.curve, extrema=extrema
     )
@@ -150,12 +144,8 @@ def _cmd_attain(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        reg = ScaleRegime(args.regime)
-    except ValueError:
-        raise _CliError(f"unknown regime {args.regime!r}") from None
     cfg = verify.SweepConfig(
-        regime=reg,
+        regime=ScaleRegime(args.regime),
         rho_class=args.rho_class,
         n_samples=args.samples,
         seed=args.seed,
@@ -230,10 +220,7 @@ def _cmd_simulate(args) -> int:
     model, embedded = _load_model(args.model)
     state = _resolve_state(model, args.z, embedded)
     _check_horizon(model, args.t, "--t")
-    try:
-        shape = shape_from_label(args.shape)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    shape = shape_from_label(args.shape)
     freq = verify.strict_attainability_mc(
         model, state, args.t, args.paths, shape, args.seed, curve=args.curve
     )

@@ -48,7 +48,7 @@ Units: time in years, rates as decimals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 from typing import Mapping
@@ -390,12 +390,3 @@ def ou_exact_step(model: VasicekModel, z, dt: float, noise) -> np.ndarray:
     if eps.ndim != 2 or eps.shape[1] != model.d:
         raise ValueError(f"noise must have shape (n, {model.d})")
     return mean[None, :] + eps @ root.T
-
-
-def with_covariance(
-    model: VasicekModel, sigma1: float, sigma2: float, rho: float
-) -> VasicekModel:
-    """Copy of a two-factor model with the covariance parameters replaced."""
-    if model.d != 2:
-        raise ValueError("covariance replacement applies to two-factor models")
-    return replace(model, sigma=(sigma1, sigma2), rho=rho)

@@ -221,12 +221,14 @@ def _columns(lam, parts, order: ScaleRegime | None = None) -> tuple[np.ndarray, 
 
 
 def _terminal_signs(decays: np.ndarray, coeffs: np.ndarray, kind: str) -> np.ndarray:
-    """Analytic x -> infinity signs, one per row (int8)."""
+    """Analytic x -> infinity signs, one per row (int8): G's is 0 where its
+    sum a_j / d_j^2 lies within _FLOOR of sum |a_j| / d_j^2."""
     if kind == F_KIND:  # the slowest nonzero term, columns in increasing decay order
         slowest = np.argmax(coeffs != 0.0, axis=1)
         return np.sign(coeffs[np.arange(coeffs.shape[0]), slowest]).astype(np.int8)
-    weighted = np.sum(coeffs / (decays * decays), axis=1)
-    return np.sign(weighted).astype(np.int8)
+    w = coeffs / (decays * decays)
+    end = np.sum(w, axis=1)
+    return np.where(np.abs(end) > _FLOOR * np.abs(w).sum(axis=1), np.sign(end), 0).astype(np.int8)
 
 
 def _careful_first_changes(kind: str, decays: np.ndarray, coeffs: np.ndarray) -> tuple[int, int]:
@@ -236,16 +238,16 @@ def _careful_first_changes(kind: str, decays: np.ndarray, coeffs: np.ndarray) ->
     return (int(sseq.signs[0]), len(sseq) - 1) if len(sseq) else (0, 0)
 
 
-def _certify(decays: np.ndarray, coeffs: np.ndarray, term: dict, abs_sum: np.ndarray) -> tuple:
+def _certify(coeffs: np.ndarray, term: dict, abs_sum: np.ndarray) -> tuple:
     """(first sign, bound B, decided rows per curve of ``term``, which maps
-    curves to terminal signs).  B is V where a partial sum is within
-    ``_FLOOR`` * ``abs_sum``; first is 0 unless sum a clears that floor,
-    and G's sum a_j / d_j^2 must clear _FLOOR * sum |a_j| / d_j^2."""
+    curves to terminal signs, 0 where undecided).  B is V where a partial
+    sum is within ``_FLOOR`` * ``abs_sum``; first is 0 unless sum a clears
+    that floor."""
     n = coeffs.shape[0]
     v, p, last, prev = np.zeros((4, n), dtype=np.int8)
-    partial, weighted = np.zeros(n), np.zeros((2, n))  # weighted: sum a_j / d_j^2, |.|
+    partial = np.zeros(n)
     weak, floor = np.zeros(n, dtype=bool), _FLOOR * abs_sum
-    for j, a in enumerate(coeffs.T):
+    for a in coeffs.T:
         s = np.sign(a).astype(np.int8)
         v += s * last < 0
         np.copyto(last, s, where=s != 0)
@@ -254,13 +256,9 @@ def _certify(decays: np.ndarray, coeffs: np.ndarray, term: dict, abs_sum: np.nda
         s = np.sign(partial).astype(np.int8)
         p += s * prev < 0
         prev = s
-        if "yield" in term:
-            w = a / (decays[..., j] * decays[..., j])
-            weighted += (w, np.abs(w))
     first = np.where(np.abs(partial) > floor, prev, 0).astype(np.int8)
     bound = np.where(weak, v, np.minimum(v, p))
-    clear = {"forward": True, "yield": np.abs(weighted[0]) > _FLOOR * weighted[1]}
-    return first, bound, {c: (first != 0) & (bound - (first != t) < 2) & clear[c]
+    return first, bound, {c: (first != 0) & (t != 0) & (bound - (first != t) < 2)
                           for c, t in term.items()}
 
 
@@ -289,7 +287,7 @@ def _scan_curves(
     if not np.all(abs_sum < _BATCH_RANGE):
         raise ValueError("curve coefficients exceed the range of the batch scan")
     term = {c: _terminal_signs(decays, coeffs, _KIND[c]) for c in curves}
-    first, _, decided = _certify(decays, coeffs, term, abs_sum)
+    first, _, decided = _certify(coeffs, term, abs_sum)
     out = {c: (np.where(ok, first, 0).astype(np.int8), (ok & (first != term[c])).astype(np.int32))
            for c, ok in decided.items()}
     rows = np.flatnonzero(~np.logical_and.reduce(list(decided.values())))
@@ -421,8 +419,8 @@ def _rolle_scan(decays: np.ndarray, coeffs: np.ndarray, term: dict) -> tuple:
         first, fwd = sign[:, 0], np.count_nonzero(np.diff(sign), axis=1)
         counts = {"forward": (fwd, bad)}
         if "yield" in term:
-            end, w = term["yield"][sl], a / (d * d)
-            bad = bad | (np.abs(w.sum(axis=1)) <= _FLOOR * np.abs(w).sum(axis=1))
+            end = term["yield"][sl]
+            bad = bad | (end == 0)
             parity = (first != end).astype(np.int32)
             counts["yield"], rows = (parity, bad), ~bad & (fwd - parity >= 2)
             if rows.any():

@@ -23,10 +23,38 @@ from termshapes.attain import (
 from termshapes.descartes import (DPolynomial, ExpBasis, perturb_coefficients,
                                   perturbation_delta)
 from termshapes.signseq import shape_from_label
-from termshapes.vasicek import VasicekModel
+from termshapes.vasicek import ScaleRegime, VasicekModel
 
 ALL_SHAPES = ("normal", "inverse", "humped", "dipped", "HD", "DH", "HDH", "DHD", "HDHD")
 SEVEN = ("normal", "inverse", "humped", "dipped", "HD", "DH", "HDH")
+#: Every admissible (regime, shape) pair's route, written out from the
+#: proof cases: (proof case, first prescribed zero at 0, sign of the
+#: fastest coefficient, tiny negative pad on the slowest slot lam1).
+ROUTES = [
+    ("separated", "normal", "i", False, 1, False),
+    ("separated", "inverse", "i", False, -1, False),
+    ("separated", "humped", "ii", False, 1, False),
+    ("separated", "dipped", "ii", False, -1, False),
+    ("separated", "HD", "iii", False, 1, False),
+    ("separated", "DH", "iv", False, -1, False),
+    ("separated", "HDH", "v", False, 1, False),
+    ("critical", "normal", "i", False, 1, False),
+    ("critical", "inverse", "i", False, -1, False),
+    ("critical", "humped", "ii", False, 1, False),
+    ("critical", "dipped", "ii", False, -1, False),
+    ("critical", "HD", "iii", False, 1, False),
+    ("critical", "DH", "vi", True, 1, False),
+    ("critical", "HDH", "vi", False, 1, False),
+    ("proximal", "normal", "i", False, 1, False),
+    ("proximal", "inverse", "i", False, -1, False),
+    ("proximal", "humped", "ii", False, 1, False),
+    ("proximal", "dipped", "ii", False, -1, False),
+    ("proximal", "HD", "iii", False, 1, False),
+    ("proximal", "DH", "vi", True, 1, True),
+    ("proximal", "HDH", "vi", False, 1, True),
+    ("proximal", "DHD", "vii", True, 1, False),
+    ("proximal", "HDHD", "vii", False, 1, False),
+]
 
 
 def coeffs(**kwargs) -> TargetCoefficients:
@@ -142,6 +170,19 @@ class TestConstruct:
         else:
             assert sol.rho == 0.0
 
+    @pytest.mark.parametrize("reg,label,case,at_zero,lead,pad", ROUTES)
+    def test_route(self, request, reg, label, case, at_zero, lead, pad):
+        base = request.getfixturevalue(f"{reg}_base")
+        sol, ver = construct_target(label, base)
+        assert ver.passed, ver.messages
+        assert sol.proof_case == case
+        assert (sol.prescribed_zeros[:1] == (0.0,)) == at_zero
+        c = sol.dpoly.coefficients
+        assert math.copysign(1.0, c[0]) == lead
+        padded = (sol.dpoly.basis.decays[-1] == base.lam[0]
+                  and -1e-9 * max(map(abs, c)) <= c[-1] < 0.0)
+        assert padded == pad
+
     def test_rho_zero_route_preferred_for_hd(self, proximal_base):
         sol, _ = construct_target("HD", proximal_base)
         assert sol.proof_case == "iii"
@@ -221,13 +262,8 @@ class TestVerifySolution:
             sol = construct(target, separated_base)
             delta = perturbation_delta(sol.dpoly)
             perturbed = perturb_coefficients(sol.dpoly, 0.5 * delta)
-            tags = {
-                "i": ("l1",),
-                "ii": ("l2", "l1"),
-                "iii": ("2l2", "l2", "l1"),
-                "iv": ("l2", "2l1", "l1"),
-                "v": ("2l2", "l2", "2l1", "l1"),
-            }[sol.proof_case]
+            case, tags = at._ROUTES.get((label, ScaleRegime.SEPARATED)) or at._ROUTES[label]
+            assert case == sol.proof_case
             tc = at._pad(tags, perturbed.coefficients, *separated_base.lam)
             resolved = solve_key_system(tc, separated_base)
             assert resolved is not None

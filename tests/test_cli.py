@@ -142,8 +142,13 @@ class TestAttainCommand:
         assert cli.main(["attain", "--model", separated_file, "--shape", "HDHD"]) == 4
         assert "attainable" in capsys.readouterr().err
 
-    def test_unknown_shape_is_parse_error(self, separated_file):
-        assert cli.main(["attain", "--model", separated_file, "--shape", "bumpy"]) == 2
+    def test_unknown_shape_is_parse_error(self, separated_file, capsys):
+        for command in (["attain"], ["simulate", "--z", "0.01,0.02", "--paths", "10"]):
+            assert cli.main([*command, "--model", separated_file, "--shape", "bumpy"]) == 2
+            assert capsys.readouterr().err == (
+                "error: unknown shape 'bumpy'; expected one of ['DH', 'DHD', 'HD', "
+                "'HDH', 'HDHD', 'dipped', 'flat', 'humped', 'inverse', 'normal']\n"
+            )
 
     def test_rho_out_of_range_exits_5(self, separated_file, monkeypatch):
         def boom(*args, **kwargs):

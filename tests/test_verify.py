@@ -134,7 +134,7 @@ def _careful_first_changes(kind, decays, coeffs):
 def _certificate(decays, coeffs):
     """``verify._certify`` for both curves, with the scan's terminal signs."""
     term = {c: vf._terminal_signs(decays, coeffs, kind) for c, kind in vf._KIND.items()}
-    return vf._certify(decays, coeffs, term, np.abs(coeffs).sum(axis=1))
+    return vf._certify(coeffs, term, np.abs(coeffs).sum(axis=1))
 
 
 @st.composite
