@@ -29,7 +29,10 @@ An exception is digested as its type and message.  Each careful stream
 also gets a ``classes`` line, a hash over its outcome classes only: the
 sign sequence and zero count of each scan or report, or the exception
 type.  A change confined to noise-level digits (zero locations,
-residuals, radii) leaves those lines identical.  The package is
+residuals, radii) leaves those lines identical.  The two interpolant
+families also get a ``coefficients`` line, a hash over the coefficients
+(``repr``) of their interpolants, so a change in the elimination shows
+there even where no scan outcome moves.  The package is
 imported from this checkout's ``src/``.  It takes about a minute.
 """
 
@@ -57,6 +60,8 @@ SWEEP_ROWS = 100_000
 STATES = 50_000
 CAREFUL_ROWS = 2_000
 SUMS = 4_000
+#: The families built by ``interpolate_prescribed_zeros``.
+INTERPOLANTS = ("clustered-zero", "far-zero")
 
 
 def _two_factor(lam2: float, rho: float, lam1: float = 0.7) -> VasicekModel:
@@ -194,6 +199,9 @@ def main() -> int:
             deltas.update(lambda: descartes.perturbation_delta(p))
         scans.print(f"careful {name} sums sseq_of_dpoly")
         deltas.print(f"careful {name} sums perturbation_delta")
+        if name in INTERPOLANTS:
+            text = "".join(f"{p.coefficients!r}\n" for p in polys)
+            print(f"{hashlib.sha256(text.encode()).hexdigest()} careful {name} sums coefficients")
     return 0
 
 

@@ -28,10 +28,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import mpmath as mp
 import numpy as np
+from mpmath import libmp
 
 from .signseq import EMPTY_PURE, Sign, SignSeq, reduce as reduce_sseq
 
@@ -44,12 +46,14 @@ _G_SERIES_CUTOFF = 4e-3
 #: below the closed form's, about 1.
 _RESIDUAL_FROM = 3.0
 
-#: Precision (decimal digits) for interpolation minor determinants.  The
-#: minors collapse like prod (r_j - r_i) as the prescribed zeros cluster,
-#: so float64 elimination loses the leading digits exactly where the
-#: small-zero limits are probed; 50 digits keeps the rounded-back floats
-#: correct to full double precision.
-_MINOR_DPS = 50
+#: Precision (decimal digits, 169 bits) of the basis values behind the
+#: interpolation minors, which collapse like prod (r_j - r_i) as the zeros
+#: cluster, where float64 values lose the leading digits.  Values are kept
+#: to 2^_MINOR_FLOOR: a part below it moves a minor (3! products of values
+#: <= 1) by under 2^-169 of the smallest float.
+_MINOR_DPS, _MINOR_FLOOR = 50, -1250
+_NEAREST = (libmp.dps_to_prec(_MINOR_DPS), "n")
+_SERIES_BELOW = libmp.from_str("1e-8", *_NEAREST)
 
 #: The x = 0 rule: a coefficient sum within ZERO_EPS of the magnitude sum
 #: is a zero at the boundary (the batch scan also defers a row whose value
@@ -262,12 +266,12 @@ def _sign(v: float) -> int:
     return (v > 0) - (v < 0)
 
 
-def _fixed(values, bits: int | None = None) -> tuple[list[int], int]:
-    """mpf values as integers times one power of two: exactly (over the
-    smallest exponent) for bits None, else to 2^-bits of the largest."""
-    parts = [(-m if s else m, e) for s, m, e, _ in (v._mpf_ for v in values)]
+def _fixed(values, bits: int | None = None, floor: float = -math.inf) -> tuple[list[int], int]:
+    """Raw mpf values as integers times one power of two: exactly (over the smallest
+    exponent, or 2^floor if larger) for bits None, else to 2^-bits of the largest."""
+    parts = [(-m if s else m, e) for s, m, e, _ in values]
     nonzero = [(m, e) for m, e in parts if m]
-    e0 = (min((e for _, e in nonzero), default=0) if bits is None
+    e0 = (max(min((e for _, e in nonzero), default=0), floor) if bits is None
           else max(m.bit_length() + e for m, e in nonzero) - bits)
     return [m << (e - e0) if e >= e0 else m >> (e0 - e) for m, e in parts], e0
 
@@ -302,8 +306,15 @@ class _Descent:
         terms = sorted((d, a) for a, d in zip(p.coefficients, p.basis.decays) if a != 0.0)
         self.basis, self.kind = p.basis, p.basis.kind
         self.d, self.a = [d for d, _ in terms], [a for _, a in terms]
-        levels, ends = _levels(np.array(self.d), np.array(self.a))
-        self.levels, self.x_end = [(e.tolist(), c.tolist()) for e, c in levels], float(ends[0])
+        d, k = self.d, len(terms)  # _levels on one row, in floats, in its operation order
+        self.levels = [([dj - d[0] for dj in d], self.a)]
+        for i in range(1, k - 1):
+            e, c = self.levels[-1]
+            self.levels.append(([dj - d[i] for dj in d[i:]], [cj * ej for cj, ej in zip(c[1:], e[1:])]))
+        ratios = [max(2 * k * abs(cj / c[0] if c[0] else cj * math.inf), 1.0)  # x / 0 as numpy's
+                  for _, c in self.levels for cj in c[1:]]
+        logs = zip(np.log(ratios).tolist(), (ej for e, _ in self.levels for ej in e[1:]))
+        self.x_end = max((v / ej for v, ej in logs if v == v), default=0.0)  # NaN as np.fmax
         if not math.isfinite(self.x_end):
             raise NumericalInconsistencyError(
                 "Rolle descent has no finite bound where the slowest term settles the sign"
@@ -324,12 +335,15 @@ class _Descent:
 
     @functools.cached_property
     def tails(self) -> list[float]:
-        """sum_{m>=j} a_m / d_m^2 for each j, summed at 50 digits."""
-        with mp.workdps(_MINOR_DPS):
-            tail, tails = mp.mpf(0), [0.0]
-            for d, a in zip(reversed(self.d), reversed(self.a)):
-                tail += mp.mpf(a) / mp.mpf(d) ** 2 if d else 0
+        """sum_{m>=j} a_m / d_m^2 for each j, summed exactly over a common
+        denominator and rounded once (int / int)."""
+        tail, tails = Fraction(0), [0.0]
+        for d, a in zip(reversed(self.d), reversed(self.a)):
+            tail += Fraction(a) / Fraction(d) ** 2 if d else 0
+            try:
                 tails.insert(0, float(tail))
+            except OverflowError:  # past 2^1024, infinite as a float of it
+                tails.insert(0, math.inf if tail > 0 else -math.inf)
         return tails
 
     def _float(self, i: int | None, x: float) -> tuple[float, float, float, float]:
@@ -392,7 +406,7 @@ class _Descent:
                                    for cj, rj, tj in zip(c, r, t)))
         # d^n/dx^n of sum_j c_j exp(-r_j x) at x0 is sum_j t_j (-r_j)^n, summed
         # in integers: t_j to 2^-200 of the largest, r_j exactly.
-        (tm, te), (rm, re), lam = _fixed(t, 200), _fixed(r), []
+        (tm, te), (rm, re), lam = _fixed([v._mpf_ for v in t], 200), _fixed([v._mpf_ for v in r]), []
         for n in range(order + 1):
             lam.append(_scaled(sum(tm), te + n * re))
             tm = [-a * b for a, b in zip(rm, tm)]
@@ -565,45 +579,51 @@ def _mp_basis_value(kind: str, u: mp.mpf) -> mp.mpf:
     return (1 - (1 + u) * mp.exp(-u)) / (u * u)
 
 
+def _basis_entry(kind: str, a: tuple, x: tuple) -> tuple:
+    """``_mp_basis_value(kind, a x)`` for raw mpf a and x, in ``mpmath.libmp``:
+    the same operations, each rounded to nearest at 50 digits."""
+    u = libmp.mpf_mul(a, x, *_NEAREST)
+    decay = libmp.mpf_exp(libmp.mpf_neg(u), *_NEAREST)
+    if kind == F_KIND:
+        return decay
+    if libmp.mpf_lt(u, _SERIES_BELOW):  # the series, through mpf objects
+        with mp.workdps(_MINOR_DPS):
+            return _mp_basis_value(kind, mp.mpf(u))._mpf_
+    decay = libmp.mpf_mul(libmp.mpf_add(u, libmp.fone, *_NEAREST), decay, *_NEAREST)
+    return libmp.mpf_div(libmp.mpf_sub(libmp.fone, decay, *_NEAREST),
+                         libmp.mpf_mul(u, u, *_NEAREST), *_NEAREST)
+
+
 def _signed_minors(basis: ExpBasis, r: Sequence[float]) -> list[float]:
     """(-1)^i times the collocation minor at r with basis function i
-    removed, for every i, from one extended-precision elimination.
+    removed, for every i, from one exact elimination.
 
-    The collocation rows at r are closed by the row w_i = (-1)^i into a
-    square matrix B.  Expanding det B along that row shows that the
-    solution of B y = e_last is y_i = (-1)^(n-1) (-1)^i M_i / det B, so
-    the signed minors are (-1)^(n-1) det B * y, with det B the pivot
-    product of the same elimination.  Computed at extended precision:
-    for clustered r the minors shrink like the product of pairwise
-    differences and float64 elimination cannot deliver the relative
-    accuracy the coefficient ratios need.
+    The collocation rows at r, closed by the row w_i = (-1)^i, make a square
+    B, and B y = e_last is solved by y_i = (-1)^(n-1) (-1)^i M_i / det B
+    (expand det B along w), so the signed minors are (-1)^(n-1) det B * y.
+    Each row of 50-digit basis values is shifted to its smallest binary
+    exponent, so B holds integers: fraction-free (Bareiss) elimination gives
+    det B and det B * y exactly, and each is rounded to float64 once.
     """
-    n = len(basis)
-    with mp.workdps(_MINOR_DPS):
-        decays = [mp.mpf(a) for a in basis.decays]
-        rows = [
-            [_mp_basis_value(basis.kind, a * x) for a in decays] + [mp.mpf(0)]
-            for x in map(mp.mpf, r)
-        ]
-        rows.append([mp.mpf((-1) ** i) for i in range(n)] + [mp.mpf(1)])
-        det = mp.mpf((-1) ** (n - 1))
-        for k in range(n):
-            pivot = max(range(k, n), key=lambda i: abs(rows[i][k]))
-            if rows[pivot][k] == 0:
-                return [0.0] * n
-            if pivot != k:
-                rows[k], rows[pivot] = rows[pivot], rows[k]
-                det = -det
-            det *= rows[k][k]
-            for i in range(k + 1, n):
-                factor = rows[i][k] / rows[k][k]
-                for j in range(k + 1, n + 1):
-                    rows[i][j] -= factor * rows[k][j]
-        y = [mp.mpf(0)] * n
-        for k in reversed(range(n)):
-            acc = rows[k][n] - mp.fsum(rows[k][j] * y[j] for j in range(k + 1, n))
-            y[k] = acc / rows[k][k]
-        return [float(det * v) for v in y]
+    n, decays = len(basis), [libmp.from_float(a) for a in basis.decays]
+    fixed = [_fixed([_basis_entry(basis.kind, a, x) for a in decays], floor=_MINOR_FLOOR)
+             for x in map(libmp.from_float, r)]
+    rows = [row + [0] for row, _ in fixed] + [[(-1) ** i for i in range(n)] + [1]]
+    sign, det = (-1) ** (n - 1), 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if rows[i][k]), None)
+        if pivot is None:
+            return [0.0] * n
+        if pivot != k:
+            rows[k], rows[pivot], sign = rows[pivot], rows[k], -sign
+        p, top = rows[k][k], rows[k][k + 1:]
+        for row in rows[k + 1:]:  # each new entry is a minor of B: the division is exact
+            row[k + 1:] = [(p * v - row[k] * t) // det for v, t in zip(row[k + 1:], top)]
+        det = p
+    z = [0] * n  # det B * y, integers by Cramer's rule
+    for k in reversed(range(n)):
+        z[k] = (det * rows[k][n] - sum(rows[k][j] * z[j] for j in range(k + 1, n))) // rows[k][k]
+    return [libmp.to_float(libmp.from_man_exp(sign * v, sum(e for _, e in fixed)), rnd="n") for v in z]
 
 
 def interpolate_prescribed_zeros(

@@ -3,14 +3,12 @@ from __future__ import annotations
 import dataclasses
 import math
 
-import numpy as np
 import pytest
 
 from termshapes import attain as at
 from termshapes import classify as cl
 from termshapes import signseq as ss
 from termshapes.attain import (
-    AttainSolution,
     InadmissibleShapeError,
     RhoOutOfRangeError,
     ShapeTarget,

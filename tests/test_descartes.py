@@ -296,6 +296,41 @@ class TestSseqOfDpoly:
         with pytest.raises(dc.NumericalInconsistencyError, match="no finite bound"):
             sseq_of_dpoly(p)
 
+    def test_single_row_levels_match_batch_levels(self):
+        # _Descent builds one polynomial's levels and X in floats; they must
+        # keep the bits of the batch _levels on the same terms.
+        rng = np.random.default_rng(61)
+        for i in range(6_000):
+            k = int(rng.integers(2, 6))
+            if i % 2:  # near-equal decays
+                scale, gap = rng.uniform(0.05, 5.0), 10.0 ** -rng.integers(1, 9)
+                decays = tuple(scale * (1.0 + gap * j) for j in range(k, 0, -1))
+            else:
+                decays = tuple(sorted(rng.uniform(0.0, 8.0, k), reverse=True))
+            coeffs = rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-3.0, 3.0, k)
+            descent = dc._Descent(DPolynomial(ExpBasis("FG"[i % 4 // 2], decays), coeffs))
+            d, a = zip(*sorted(zip(decays, coeffs)))
+            levels, ends = dc._levels(np.array(d), np.array(a))
+            assert descent.levels == [(e.tolist(), c.tolist()) for e, c in levels]
+            assert descent.x_end == float(ends[0])
+
+    def test_tails_are_exact_sums_rounded_once(self):
+        from fractions import Fraction
+
+        rng = np.random.default_rng(62)
+        for _ in range(500):
+            k = int(rng.integers(1, 6))
+            decays = tuple(sorted(rng.uniform(0.0, 4.0, k), reverse=True))
+            coeffs = rng.standard_normal(k) * 10.0 ** rng.uniform(-3.0, 3.0, k)
+            descent = dc._Descent(DPolynomial(ExpBasis("G", decays), coeffs))
+            d, a = sorted(decays), [c for _, c in sorted(zip(decays, coeffs))]
+            exact = [sum((Fraction(a[m]) / Fraction(d[m]) ** 2 for m in range(j, k) if d[m]),
+                         Fraction(0)) for j in range(k)]
+            assert descent.tails == [float(t) for t in exact] + [0.0]
+        # a sum past the float range is infinite, as M's end sign needs
+        descent = dc._Descent(DPolynomial(ExpBasis("G", (1.0, 1e-150)), (1.0, -1e10)))
+        assert descent.tails[0] == -math.inf
+
     def test_variation_diminishing_sample(self):
         rng = np.random.default_rng(5)
         for _ in range(300):
@@ -399,6 +434,44 @@ class TestInterpolation:
                     [m / scale for m in minors], rel=1e-14, abs=0.0
                 )
 
+    def test_matches_50_digit_elimination_bit_for_bit(self):
+        # The exact integer elimination rounds each minor once; on these
+        # cases the 50-digit Gaussian elimination it replaced rounds to the
+        # same floats.  Far zeros are counted in e-foldings of the slowest
+        # decay for F but of the fastest for G: past u of about 116 the
+        # G kind's e^-u parts fall below the 169-bit values' rounding, so
+        # the minors are rounding noise that no two eliminations share.
+        rng, cases = np.random.default_rng(63), []
+        for kind in ("F", "G"):
+            for i in range(160):
+                n = 2 + i % 4
+                decays = tuple(sorted(rng.uniform(0.05, 6.0, n), reverse=True))
+                if i % 16 == 15:
+                    decays = decays[:-1] + (0.0,)
+                rate = min(decays[:-1] if decays[-1] == 0.0 else decays) if kind == "F" else decays[0]
+                case = i // 4 % 4
+                if case == 0:  # clustered, near 0 or at 0.5 to 4
+                    step = (1e-5, 5e-4, 1e-3)[i % 3]
+                    start = (step, 1e-7, 0.5, 1.0, 2.0, 4.0)[i // 16 % 6]
+                    zeros = start + step * np.arange(n - 1)
+                elif case == 1:  # 5 to 60 e-foldings out
+                    zeros = np.sort(rng.uniform(5.0, 60.0, n - 1)) / rate
+                else:  # random, with a zero at 0 in case 3
+                    zeros = np.sort(rng.uniform(0.0, 8.0, n - 1))
+                    zeros[0] *= case == 2
+                cases.append((kind, decays, [float(z) for z in zeros]))
+        # Past 2^-1250 a value is truncated: a zero at 1e9 stays quick
+        cases += [("F", (1.0, 0.0), [1e9]), ("G", (2.0, 1.0, 0.0), [3.0, 1e9])]
+        for kind, decays, zeros in cases:
+            minors = _minors_by_50_digit_elimination(kind, decays, zeros)
+            scale = max(abs(m) for m in minors)
+            if not scale:  # every minor below the float range, in both
+                with pytest.raises(dc.NumericalInconsistencyError, match="vanished"):
+                    interpolate_prescribed_zeros(ExpBasis(kind, decays), zeros)
+                continue
+            p = interpolate_prescribed_zeros(ExpBasis(kind, decays), zeros)
+            assert p.coefficients == tuple(m / scale for m in minors), (kind, decays, zeros)
+
     def test_rejects_bad_zero_lists(self):
         basis = ExpBasis("F", (3.0, 2.0, 1.0))
         with pytest.raises(ValueError):
@@ -407,6 +480,32 @@ class TestInterpolation:
             interpolate_prescribed_zeros(basis, [1.0])
         with pytest.raises(ValueError):
             interpolate_prescribed_zeros(basis, [-1.0, 2.0])
+
+
+def _minors_by_50_digit_elimination(kind: str, decays, r) -> list[float]:
+    """Signed minors from Gaussian elimination with partial pivoting on
+    50-digit mpf values: the collocation rows closed by the row (-1)^i,
+    solved for e_last, times the determinant and (-1)^(n-1)."""
+    import mpmath as mp
+
+    n = len(decays)
+    with mp.workdps(50):
+        rows = [[dc._mp_basis_value(kind, mp.mpf(a) * x) for a in decays] + [mp.mpf(0)]
+                for x in map(mp.mpf, r)]
+        rows.append([mp.mpf((-1) ** i) for i in range(n)] + [mp.mpf(1)])
+        det = mp.mpf((-1) ** (n - 1))
+        for k in range(n):
+            pivot = max(range(k, n), key=lambda i: abs(rows[i][k]))
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            det *= rows[k][k] if pivot == k else -rows[k][k]
+            for i in range(k + 1, n):
+                factor = rows[i][k] / rows[k][k]
+                for j in range(k + 1, n + 1):
+                    rows[i][j] -= factor * rows[k][j]
+        y = [mp.mpf(0)] * n
+        for k in reversed(range(n)):
+            y[k] = (rows[k][n] - mp.fsum(rows[k][j] * y[j] for j in range(k + 1, n))) / rows[k][k]
+        return [float(det * v) for v in y]
 
 
 def cofactor0(basis: ExpBasis, r) -> float:
