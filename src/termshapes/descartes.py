@@ -49,7 +49,7 @@ _RESIDUAL_FROM = 3.0
 #: Precision (decimal digits, 169 bits) of the basis values behind the
 #: interpolation minors, which collapse like prod (r_j - r_i) as the zeros
 #: cluster, where float64 values lose the leading digits.  Values are kept
-#: to 2^_MINOR_FLOOR: a part below it moves a minor (3! products of values
+#: to 2^_MINOR_FLOOR: a part below it moves a minor (4! products of 4 values
 #: <= 1) by under 2^-169 of the smallest float.
 _MINOR_DPS, _MINOR_FLOOR = 50, -1250
 _NEAREST = (libmp.dps_to_prec(_MINOR_DPS), "n")
@@ -324,11 +324,11 @@ class _Descent:
         if self.kind == G_KIND:
             # M = tails[j] - sum_{m>=j} w_m (1 + u_m) exp(-u_m) + x^2 sum_{m<j} a_m g(u_m),
             # w = a / d^2, u = d x < _RESIDUAL_FROM for m < j, tails[j] = sum_{m>=j} w_m
-            # at 50 digits: the residual form keeps far-out values exact.
+            # exactly: the residual form keeps far-out values exact.
             self.w = [a / (d * d) if d else 0.0 for d, a in terms]
             if self.d[0] == 0.0:  # the constant term's a x^2 / 2 dominates M at infinity
                 self.end = _sign(self.a[0])
-            else:  # the sign of sum w, at 50 digits where two roundings per w may flip it
+            else:  # the sign of sum w, exact where two roundings per w may flip it
                 total, size = math.fsum(self.w), math.fsum(map(abs, self.w))
                 noise = abs(total) <= 4.0 * _UNIT_ROUNDOFF * size
                 self.end = _sign(self.tails[0] if noise else total)
